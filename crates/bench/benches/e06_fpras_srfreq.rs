@@ -8,6 +8,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::block_lookup_query, BlockWorkload};
@@ -32,8 +33,15 @@ fn bench_fpras_srfreq(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         estimator
-                            .estimate(&evaluator, &candidate, params, &mut rng)
-                            .expect("estimation succeeds"),
+                            .estimate_with_budget(
+                                &evaluator,
+                                &candidate,
+                                params,
+                                &RunBudget::unlimited(),
+                                &mut rng,
+                            )
+                            .expect("estimation succeeds")
+                            .queries[0],
                     )
                 })
             },

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
 use ucqa_core::sample_operations::OperationWalkSampler;
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::fact_membership_query, MultiKeyWorkload};
@@ -41,8 +42,15 @@ fn bench_uniform_operations_keys(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         estimator
-                            .estimate(&evaluator, &[], params, &mut rng)
-                            .expect("estimation succeeds"),
+                            .estimate_with_budget(
+                                &evaluator,
+                                &[],
+                                params,
+                                &RunBudget::unlimited(),
+                                &mut rng,
+                            )
+                            .expect("estimation succeeds")
+                            .queries[0],
                     )
                 })
             },

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use ucqa_core::exact::ExactSolver;
 use ucqa_core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::{GeneratorSpec, TreeLimits};
 use ucqa_workload::{queries::block_lookup_query, BlockWorkload};
@@ -62,8 +63,15 @@ fn bench_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         estimator
-                            .estimate(&evaluator, &candidate, params, &mut rng)
-                            .expect("estimation succeeds"),
+                            .estimate_with_budget(
+                                &evaluator,
+                                &candidate,
+                                params,
+                                &RunBudget::unlimited(),
+                                &mut rng,
+                            )
+                            .expect("estimation succeeds")
+                            .queries[0],
                     )
                 })
             },

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use ucqa_core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
 use ucqa_core::sample_repairs::RepairSampler;
+use ucqa_core::RunBudget;
 use ucqa_db::FactSet;
 use ucqa_query::{CompiledLineage, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
@@ -99,8 +100,15 @@ fn bench_lineage_vs_backtracking(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         estimator
-                            .estimate(&evaluator, &candidate, params, &mut rng)
-                            .expect("estimation succeeds"),
+                            .estimate_with_budget(
+                                &evaluator,
+                                &candidate,
+                                params,
+                                &RunBudget::unlimited(),
+                                &mut rng,
+                            )
+                            .expect("estimation succeeds")
+                            .queries[0],
                     )
                 })
             },

@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::fact_membership_query_bank, MultiFdWorkload};
@@ -43,7 +44,7 @@ fn bench_batched_estimation(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(15);
             b.iter(|| {
                 estimator
-                    .estimate_batch(&bank, params, &mut rng)
+                    .estimate_batch_with_budget(&bank, params, &RunBudget::unlimited(), &mut rng)
                     .expect("estimation succeeds")
             })
         });
@@ -54,8 +55,15 @@ fn bench_batched_estimation(c: &mut Criterion) {
                     .map(|q| {
                         estimator
                             .estimator()
-                            .estimate(q.evaluator, q.candidate, params, &mut rng)
+                            .estimate_with_budget(
+                                q.evaluator,
+                                q.candidate,
+                                params,
+                                &RunBudget::unlimited(),
+                                &mut rng,
+                            )
                             .expect("estimation succeeds")
+                            .queries[0]
                     })
                     .collect::<Vec<_>>()
             })

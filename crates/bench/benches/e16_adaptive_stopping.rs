@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::fact_membership_query_bank, MultiFdWorkload};
@@ -55,7 +56,12 @@ fn bench_adaptive_stopping(c: &mut Criterion) {
                 let mut rng = StdRng::seed_from_u64(16);
                 b.iter(|| {
                     estimator
-                        .estimate_stopping_batch(&bank, adaptive, &mut rng)
+                        .estimate_stopping_batch_with_budget(
+                            &bank,
+                            adaptive,
+                            &RunBudget::unlimited(),
+                            &mut rng,
+                        )
                         .expect("estimation succeeds")
                 })
             },
@@ -70,8 +76,15 @@ fn bench_adaptive_stopping(c: &mut Criterion) {
                         .map(|q| {
                             estimator
                                 .estimator()
-                                .estimate(q.evaluator, q.candidate, per_query, &mut rng)
+                                .estimate_with_budget(
+                                    q.evaluator,
+                                    q.candidate,
+                                    per_query,
+                                    &RunBudget::unlimited(),
+                                    &mut rng,
+                                )
                                 .expect("estimation succeeds")
+                                .queries[0]
                         })
                         .collect::<Vec<_>>()
                 })

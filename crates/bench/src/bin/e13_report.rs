@@ -22,6 +22,7 @@ use rand::SeedableRng;
 use ucqa_bench::experiments::{emit_report, report_args, time_routine};
 use ucqa_core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
 use ucqa_core::sample_repairs::RepairSampler;
+use ucqa_core::RunBudget;
 use ucqa_db::FactSet;
 use ucqa_query::{CompiledLineage, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
@@ -93,8 +94,15 @@ fn main() {
                     let mut rng = StdRng::seed_from_u64(12);
                     let start = Instant::now();
                     let estimate = estimator
-                        .estimate(&evaluator, &candidate, budget, &mut rng)
-                        .expect("estimation succeeds");
+                        .estimate_with_budget(
+                            &evaluator,
+                            &candidate,
+                            budget,
+                            &RunBudget::unlimited(),
+                            &mut rng,
+                        )
+                        .expect("estimation succeeds")
+                        .queries[0];
                     (estimate, start.elapsed().as_secs_f64())
                 }
                 None => {
@@ -105,7 +113,8 @@ fn main() {
                     let start = Instant::now();
                     let estimate = estimator
                         .estimate_parallel(&evaluator, &candidate, budget, 2024)
-                        .expect("parallel estimation succeeds");
+                        .expect("parallel estimation succeeds")
+                        .queries[0];
                     (estimate, start.elapsed().as_secs_f64())
                 }
             };

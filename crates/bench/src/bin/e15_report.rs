@@ -27,6 +27,7 @@ use rand::SeedableRng;
 
 use ucqa_bench::experiments::{emit_report, report_args};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use ucqa_core::RunBudget;
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::fact_membership_query_bank, MultiFdWorkload};
@@ -64,7 +65,12 @@ fn main() {
         // Batched: one walk loop answers the whole bank per draw.
         let start = Instant::now();
         let batched = estimator
-            .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(15))
+            .estimate_batch_with_budget(
+                &bank,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(15),
+            )
             .expect("estimation succeeds");
         let batch_seconds = start.elapsed().as_secs_f64();
 
@@ -77,17 +83,19 @@ fn main() {
             .map(|q| {
                 estimator
                     .estimator()
-                    .estimate(
+                    .estimate_with_budget(
                         q.evaluator,
                         q.candidate,
                         params,
+                        &RunBudget::unlimited(),
                         &mut StdRng::seed_from_u64(15),
                     )
                     .expect("estimation succeeds")
+                    .queries[0]
             })
             .collect();
         let independent_seconds = start.elapsed().as_secs_f64();
-        let bit_identical = batched == independent;
+        let bit_identical = batched.queries == independent;
 
         // Rayon-parallel batched run (same sample count per query).
         let start = Instant::now();

@@ -1,7 +1,7 @@
 //! Produces `BENCH_e16.json`: the adaptive batched stopping rule — a bank
 //! of queries estimated under per-query Dagum–Karp–Luby–Ross success
 //! targets `Υ(ε, δ/k)` from **one** shared uniform-operations walk stream
-//! (`BatchEstimator::estimate_stopping_batch`), with queries *retiring*
+//! (`BatchEstimator::estimate_stopping_batch_with_budget`), with queries *retiring*
 //! as they converge — vs. `k` independent per-query stopping-rule runs
 //! and vs. the batched fixed-sample loop.
 //!
@@ -38,7 +38,7 @@ use rand::SeedableRng;
 
 use ucqa_bench::experiments::{emit_report, report_args};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-use ucqa_core::Estimate;
+use ucqa_core::{QueryOutcome, RunBudget};
 use ucqa_db::FactId;
 use ucqa_query::{Atom, ConjunctiveQuery, QueryEvaluator, Term};
 use ucqa_repair::GeneratorSpec;
@@ -80,11 +80,21 @@ fn main() {
         // Υ(ε, δ/k), retirement as queries converge.
         let start = Instant::now();
         let adaptive = estimator
-            .estimate_stopping_batch(&bank, params, &mut StdRng::seed_from_u64(16))
+            .estimate_stopping_batch_with_budget(
+                &bank,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(16),
+            )
             .expect("estimation succeeds");
         let adaptive_seconds = start.elapsed().as_secs_f64();
-        let adaptive_stream = adaptive.iter().map(|e| e.samples).max().unwrap_or(0);
-        let adaptive_draw_evals: u64 = adaptive.iter().map(|e| e.samples).sum();
+        let adaptive_stream = adaptive
+            .queries
+            .iter()
+            .map(|e| e.samples)
+            .max()
+            .unwrap_or(0);
+        let adaptive_draw_evals: u64 = adaptive.queries.iter().map(|e| e.samples).sum();
 
         // Per-query-adaptive baseline: k independent stopping-rule runs
         // with the same per-query guarantee (ε, δ/k), sharing the
@@ -94,23 +104,25 @@ fn main() {
             .expect("valid parameters")
             .with_mode(EstimatorMode::OptimalStopping { max_samples });
         let start = Instant::now();
-        let independent: Vec<Estimate> = bank
+        let independent: Vec<QueryOutcome> = bank
             .iter()
             .map(|q| {
                 estimator
                     .estimator()
-                    .estimate(
+                    .estimate_with_budget(
                         q.evaluator,
                         q.candidate,
                         per_query_params,
+                        &RunBudget::unlimited(),
                         &mut StdRng::seed_from_u64(16),
                     )
                     .expect("estimation succeeds")
+                    .queries[0]
             })
             .collect();
         let independent_seconds = start.elapsed().as_secs_f64();
         let independent_draws: u64 = independent.iter().map(|e| e.samples).sum();
-        let bit_identical = adaptive == independent;
+        let bit_identical = adaptive.queries == independent;
 
         // Batched-fixed baseline: the e15 loop forced to the adaptive
         // stream length, evaluating the full bank on every draw.
@@ -119,7 +131,12 @@ fn main() {
             .with_mode(EstimatorMode::FixedSamples(adaptive_stream));
         let start = Instant::now();
         let _fixed = estimator
-            .estimate_batch(&bank, fixed_params, &mut StdRng::seed_from_u64(16))
+            .estimate_batch_with_budget(
+                &bank,
+                fixed_params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(16),
+            )
             .expect("estimation succeeds");
         let fixed_seconds = start.elapsed().as_secs_f64();
 
@@ -132,7 +149,11 @@ fn main() {
         let rounds_seconds = start.elapsed().as_secs_f64();
 
         let speedup = independent_seconds / adaptive_seconds.max(1e-9);
-        let truncated = adaptive.iter().filter(|e| e.truncated).count();
+        let truncated = adaptive
+            .queries
+            .iter()
+            .filter(|e| !e.status.is_converged())
+            .count();
         let _ = write!(
             sizes,
             "{}    {{\"facts\": {facts}, \"build_ms\": {build_ms:.2}, \
@@ -190,14 +211,28 @@ fn main() {
 
     let start = Instant::now();
     let adaptive = estimator
-        .estimate_stopping_batch(&star_bank, params, &mut StdRng::seed_from_u64(61))
+        .estimate_stopping_batch_with_budget(
+            &star_bank,
+            params,
+            &RunBudget::unlimited(),
+            &mut StdRng::seed_from_u64(61),
+        )
         .expect("estimation succeeds");
     let adaptive_seconds = start.elapsed().as_secs_f64();
-    let stream = adaptive.iter().map(|e| e.samples).max().unwrap_or(0);
-    let draw_evals: u64 = adaptive.iter().map(|e| e.samples).sum();
+    let stream = adaptive
+        .queries
+        .iter()
+        .map(|e| e.samples)
+        .max()
+        .unwrap_or(0);
+    let draw_evals: u64 = adaptive.queries.iter().map(|e| e.samples).sum();
     let no_retirement_evals = stream * k as u64;
     let eval_shrink = no_retirement_evals as f64 / draw_evals.max(1) as f64;
-    let leaf_retirement: u64 = adaptive[1..].iter().map(|e| e.samples).max().unwrap_or(0);
+    let leaf_retirement: u64 = adaptive.queries[1..]
+        .iter()
+        .map(|e| e.samples)
+        .max()
+        .unwrap_or(0);
 
     // The no-retirement baseline: the fixed batched loop over the same
     // stream length evaluates all k queries on every draw.
@@ -206,13 +241,18 @@ fn main() {
         .with_mode(EstimatorMode::FixedSamples(stream));
     let start = Instant::now();
     let _fixed = estimator
-        .estimate_batch(&star_bank, fixed_params, &mut StdRng::seed_from_u64(61))
+        .estimate_batch_with_budget(
+            &star_bank,
+            fixed_params,
+            &RunBudget::unlimited(),
+            &mut StdRng::seed_from_u64(61),
+        )
         .expect("estimation succeeds");
     let fixed_seconds = start.elapsed().as_secs_f64();
 
-    let rare = adaptive[0];
+    let rare = adaptive.queries[0];
     let rare_exact = 1.0 / star_n as f64;
-    let rare_error = (rare.value - rare_exact).abs() / rare_exact;
+    let rare_error = (rare.estimate - rare_exact).abs() / rare_exact;
     let wall_clock_shrink = fixed_seconds / adaptive_seconds.max(1e-9);
     eprintln!(
         "[e16] skewed star n = {star_n}, bank {k}: leaves retired by draw \
@@ -221,7 +261,8 @@ fn main() {
          {adaptive_seconds:.2}s vs fixed-full-bank {fixed_seconds:.2}s \
          ({wall_clock_shrink:.2}x); rare query {:.5} (exact {rare_exact:.5}, \
          rel err {rare_error:.3}, truncated: {})",
-        rare.value, rare.truncated
+        rare.estimate,
+        !rare.status.is_converged()
     );
     assert!(
         draw_evals < no_retirement_evals,
@@ -247,7 +288,9 @@ fn main() {
          \"wall_clock_shrink\": {wall_clock_shrink:.2},\n    \
          \"rare_query\": {{\"estimate\": {:.6}, \"exact\": {rare_exact:.6}, \
          \"relative_error\": {rare_error:.4}, \"samples\": {}, \"truncated\": {}}}\n  }}\n}}\n",
-        rare.value, rare.samples, rare.truncated
+        rare.estimate,
+        rare.samples,
+        !rare.status.is_converged()
     );
     emit_report("e16", smoke, &output, &json);
 }

@@ -27,7 +27,8 @@ use rand::SeedableRng;
 
 use ucqa_bench::experiments::{emit_report, report_args, time_routine};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-use ucqa_query::QueryEvaluator;
+use ucqa_core::RunBudget;
+use ucqa_query::{LineageBank, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::overlapping_join_bank, MultiFdWorkload};
 
@@ -62,12 +63,13 @@ fn main() {
             let bank: Vec<BatchQuery<'_>> =
                 evaluators.iter().map(|e| BatchQuery::new(e, &[])).collect();
             let estimator = BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
+            let refs: Vec<_> = bank.iter().map(|q| (q.evaluator, q.candidate)).collect();
 
             let (planned_ns, _) = time_routine(iters, || {
                 drop(estimator.compile_bank(&bank).expect("compiles"))
             });
             let (unplanned_ns, _) = time_routine(iters, || {
-                drop(estimator.compile_bank_unplanned(&bank).expect("compiles"))
+                drop(LineageBank::compile_unplanned(&db, &refs).expect("compiles"))
             });
             let planned_ms = planned_ns / 1e6;
             let unplanned_ms = unplanned_ns / 1e6;
@@ -76,7 +78,7 @@ fn main() {
             // Result identity: same arena shape, same fallback flags,
             // bit-identical estimates under a fixed seed.
             let planned_bank = estimator.compile_bank(&bank).expect("compiles");
-            let unplanned_bank = estimator.compile_bank_unplanned(&bank).expect("compiles");
+            let unplanned_bank = LineageBank::compile_unplanned(&db, &refs).expect("compiles");
             assert_eq!(planned_bank.witness_count(), unplanned_bank.witness_count());
             for entry in 0..bank.len() {
                 assert_eq!(
@@ -90,20 +92,24 @@ fn main() {
                 .with_mode(EstimatorMode::FixedSamples(samples));
             let start = Instant::now();
             let planned_estimates = estimator
-                .estimate_batch_with_bank(
+                .estimate_with_bank(
                     &planned_bank,
                     &bank,
                     params,
+                    &RunBudget::unlimited(),
+                    None,
                     &mut StdRng::seed_from_u64(17),
                 )
                 .expect("estimation succeeds");
             let estimate_seconds = start.elapsed().as_secs_f64();
             let start = Instant::now();
             let unplanned_estimates = estimator
-                .estimate_batch_with_bank(
+                .estimate_with_bank(
                     &unplanned_bank,
                     &bank,
                     params,
+                    &RunBudget::unlimited(),
+                    None,
                     &mut StdRng::seed_from_u64(17),
                 )
                 .expect("estimation succeeds");

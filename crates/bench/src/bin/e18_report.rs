@@ -13,13 +13,14 @@
 //! uniform-operations walk stream):
 //!
 //! * **overhead** — the same adaptive run through
-//!   `estimate_stopping_batch` (no budget plumbing) and through
-//!   `estimate_stopping_batch_with_budget` with an *unconstrained*
-//!   budget.  The budgeted loop polls the budget before every draw but
-//!   consumes no randomness, so the outcomes must be bit-identical and
-//!   the wall-clock overhead of the per-draw check is required to stay
-//!   under 2% (asserted on the full workload; best-of-`REPS` timing to
-//!   shave scheduler noise).
+//!   `estimate_stopping_batch_with_budget` with `RunBudget::unlimited()`
+//!   ("plain": every per-draw check short-circuits) and with an *armed*
+//!   budget whose draw cap and cancel token are set but never reached.
+//!   The armed loop polls both before every draw but consumes no
+//!   randomness, so the outcomes must be bit-identical and the
+//!   wall-clock overhead of the per-draw check is required to stay under
+//!   2% (asserted on the full workload; best-of-`REPS` timing to shave
+//!   scheduler noise).
 //! * **truncation** — the same run under a draw cap at half the
 //!   converged stream length: every surviving query reports its partial
 //!   estimate with the achieved `(ε′, δ/k)` bound obtained by inverting
@@ -34,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ucqa_bench::experiments::{emit_report, report_args};
-use ucqa_core::budget::{BudgetStatus, RunBudget};
+use ucqa_core::budget::{BudgetStatus, CancelToken, RunBudget};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
 use ucqa_query::QueryEvaluator;
 use ucqa_repair::GeneratorSpec;
@@ -63,16 +64,24 @@ fn main() {
         .with_mode(EstimatorMode::OptimalStopping { max_samples });
     let estimator = BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
     let unlimited = RunBudget::unlimited();
+    let armed = RunBudget::unlimited()
+        .with_max_draws(u64::MAX)
+        .with_cancel_token(CancelToken::new());
 
-    // ---- overhead: plain vs unconstrained-budget adaptive loop ----
-    // Best-of-REPS on both sides; the first budgeted run is also checked
-    // bit-identical against the plain one.
+    // ---- overhead: unlimited vs armed-but-unconstrained budget ----
+    // Best-of-REPS on both sides; the first armed run is also checked
+    // bit-identical against the unlimited one.
     let mut plain_seconds = f64::INFINITY;
     let mut plain_outcome = None;
     for _ in 0..REPS {
         let start = Instant::now();
         let outcome = estimator
-            .estimate_stopping_batch(&bank, params, &mut StdRng::seed_from_u64(18))
+            .estimate_stopping_batch_with_budget(
+                &bank,
+                params,
+                &unlimited,
+                &mut StdRng::seed_from_u64(18),
+            )
             .expect("estimation succeeds");
         plain_seconds = plain_seconds.min(start.elapsed().as_secs_f64());
         plain_outcome.get_or_insert(outcome);
@@ -87,7 +96,7 @@ fn main() {
             .estimate_stopping_batch_with_budget(
                 &bank,
                 params,
-                &unlimited,
+                &armed,
                 &mut StdRng::seed_from_u64(18),
             )
             .expect("estimation succeeds");
@@ -96,15 +105,9 @@ fn main() {
     }
     let budgeted_outcome = budgeted_outcome.expect("at least one rep ran");
 
-    let bit_identical = plain_outcome
-        .iter()
-        .zip(&budgeted_outcome.queries)
-        .all(|(p, b)| {
-            (p.value, p.samples, p.successes) == (b.estimate, b.samples, b.successes)
-                && b.status == BudgetStatus::Converged
-        });
+    let bit_identical = plain_outcome == budgeted_outcome && plain_outcome.converged();
     let overhead_percent = (budgeted_seconds / plain_seconds.max(1e-12) - 1.0) * 100.0;
-    let stream = plain_outcome.iter().map(|e| e.samples).max().unwrap_or(0);
+    let stream = plain_outcome.total_draws;
     eprintln!(
         "[e18] n = {facts}, bank {BANK_SIZE}: plain {plain_seconds:.4}s, \
          unconstrained-budget {budgeted_seconds:.4}s (overhead {overhead_percent:+.2}%), \
@@ -112,7 +115,7 @@ fn main() {
     );
     assert!(
         bit_identical,
-        "the unconstrained budget diverged from the unbudgeted adaptive loop"
+        "the armed budget diverged from the unlimited adaptive loop"
     );
     // Timing noise dominates at the smoke size (sub-100ms runs), so the
     // overhead ceiling is asserted on the full workload only.
@@ -144,13 +147,18 @@ fn main() {
     );
 
     // ---- resume: continue the capped run to convergence ----
+    let compiled = estimator.compile_bank(&bank).expect("bank compiles");
     let resumed = estimator
-        .estimate_stopping_batch_resume(&bank, params, &unlimited, &capped, &mut rng)
+        .estimate_with_bank(
+            &compiled,
+            &bank,
+            params,
+            &unlimited,
+            Some(&capped),
+            &mut rng,
+        )
         .expect("resumption succeeds");
-    let resume_bit_identical = plain_outcome
-        .iter()
-        .zip(&resumed.queries)
-        .all(|(p, r)| (p.value, p.samples, p.successes) == (r.estimate, r.samples, r.successes));
+    let resume_bit_identical = resumed == plain_outcome;
     eprintln!("[e18] resume bit-identical to uninterrupted run: {resume_bit_identical}");
     assert!(
         resume_bit_identical,

@@ -36,8 +36,9 @@ use rand::SeedableRng;
 use ucqa_bench::experiments::{emit_report, report_args, time_routine};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
 use ucqa_core::sample_operations::{OperationWalkSampler, WalkScratch};
+use ucqa_core::RunBudget;
 use ucqa_db::{Database, Fact, FactId, FactSet, FdSet, RelationId, Value, ViolationSet};
-use ucqa_query::{ConjunctiveQuery, QueryEvaluator, Term, Variable};
+use ucqa_query::{ConjunctiveQuery, LineageBank, QueryEvaluator, Term, Variable};
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::overlapping_join_bank, MultiFdWorkload};
 
@@ -456,16 +457,17 @@ fn main() {
         let bank: Vec<BatchQuery<'_>> =
             evaluators.iter().map(|e| BatchQuery::new(e, &[])).collect();
         let estimator = BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
+        let refs: Vec<_> = bank.iter().map(|q| (q.evaluator, q.candidate)).collect();
 
         let (planned_ns, _) = time_routine(compile_iters, || {
             drop(estimator.compile_bank(&bank).expect("compiles"))
         });
         let (unplanned_ns, _) = time_routine(compile_iters, || {
-            drop(estimator.compile_bank_unplanned(&bank).expect("compiles"))
+            drop(LineageBank::compile_unplanned(&db, &refs).expect("compiles"))
         });
         let compile_speedup = unplanned_ns / planned_ns.max(1.0);
         let planned_bank = estimator.compile_bank(&bank).expect("compiles");
-        let unplanned_bank = estimator.compile_bank_unplanned(&bank).expect("compiles");
+        let unplanned_bank = LineageBank::compile_unplanned(&db, &refs).expect("compiles");
         assert_eq!(planned_bank.witness_count(), unplanned_bank.witness_count());
         for entry in 0..bank.len() {
             assert_eq!(
@@ -572,14 +574,23 @@ fn main() {
             .with_mode(EstimatorMode::FixedSamples(samples));
         let start = Instant::now();
         let planned_estimates = estimator
-            .estimate_batch_with_bank(&planned_bank, &bank, params, &mut StdRng::seed_from_u64(17))
+            .estimate_with_bank(
+                &planned_bank,
+                &bank,
+                params,
+                &RunBudget::unlimited(),
+                None,
+                &mut StdRng::seed_from_u64(17),
+            )
             .expect("estimation succeeds");
         let estimate_seconds = start.elapsed().as_secs_f64();
         let unplanned_estimates = estimator
-            .estimate_batch_with_bank(
+            .estimate_with_bank(
                 &unplanned_bank,
                 &bank,
                 params,
+                &RunBudget::unlimited(),
+                None,
                 &mut StdRng::seed_from_u64(17),
             )
             .expect("estimation succeeds");

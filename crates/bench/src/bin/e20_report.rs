@@ -41,6 +41,7 @@ use rand::{Rng, SeedableRng};
 
 use ucqa_bench::experiments::{emit_report, report_args};
 use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use ucqa_core::RunBudget;
 use ucqa_db::{ConflictIndex, Fact, FactId, RelationIndex, Value};
 use ucqa_query::{BankQueryRef, LineageBank, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
@@ -191,17 +192,26 @@ fn main() {
             BatchEstimator::with_conflict_index(&db, &sigma, spec, conflict.clone())
                 .expect("FDs with singleton ops");
         let delta_estimates = delta_estimator
-            .estimate_batch_with_bank(&bank, &batch, params, &mut StdRng::seed_from_u64(17))
+            .estimate_with_bank(
+                &bank,
+                &batch,
+                params,
+                &RunBudget::unlimited(),
+                None,
+                &mut StdRng::seed_from_u64(17),
+            )
             .expect("estimation succeeds");
         let estimate_s = estimate_start.elapsed().as_secs_f64();
         estimate_seconds += estimate_s;
         let rebuilt_estimator =
             BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
         let rebuilt_estimates = rebuilt_estimator
-            .estimate_batch_with_bank(
+            .estimate_with_bank(
                 &rebuilt_bank,
                 &batch,
                 params,
+                &RunBudget::unlimited(),
+                None,
                 &mut StdRng::seed_from_u64(17),
             )
             .expect("estimation succeeds");

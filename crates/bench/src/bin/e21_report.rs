@@ -322,18 +322,22 @@ fn main() {
             w.conflict_index().clone(),
         )
         .expect("primary key supports singleton operations")
-        .estimate_batch_with_bank(
+        .estimate_with_bank(
             w.bank(),
             &batch,
             probe_params,
+            &RunBudget::unlimited(),
+            None,
             &mut StdRng::seed_from_u64(17),
         )
         .expect("probe estimates");
         let scratch_probe = scratch_estimator
-            .estimate_batch_with_bank(
+            .estimate_with_bank(
                 &scratch_bank,
                 &batch,
                 probe_params,
+                &RunBudget::unlimited(),
+                None,
                 &mut StdRng::seed_from_u64(17),
             )
             .expect("probe estimates");

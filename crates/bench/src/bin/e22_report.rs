@@ -106,7 +106,14 @@ fn assert_planners_agree(
         let batch: Vec<BatchQuery<'_>> =
             evaluators.iter().map(|e| BatchQuery::new(e, &[])).collect();
         estimator
-            .estimate_batch_with_bank(bank, &batch, probe_params, &mut StdRng::seed_from_u64(17))
+            .estimate_with_bank(
+                bank,
+                &batch,
+                probe_params,
+                &RunBudget::unlimited(),
+                None,
+                &mut StdRng::seed_from_u64(17),
+            )
             .expect("probe estimates")
     };
     assert_eq!(

@@ -13,10 +13,13 @@ use rand::SeedableRng;
 use ucqa_core::counting;
 use ucqa_core::exact::ExactSolver;
 use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
+use ucqa_core::montecarlo::{
+    estimate_stopping_batch, StoppingBatchExperiment, StoppingRuleEstimator,
+};
 use ucqa_core::sample_operations::OperationWalkSampler;
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::sample_sequences::SequenceSampler;
-use ucqa_core::{bounds, CoreError};
+use ucqa_core::{bounds, CoreError, RunBudget};
 use ucqa_db::{Database, FdSet, Value};
 use ucqa_graphs::homomorphism::{count_homomorphisms, TargetGraph};
 use ucqa_graphs::independent_sets::count_independent_sets;
@@ -385,14 +388,21 @@ fn fpras_block_sweep(
         let params = ApproximationParams::new(epsilon, 0.05).expect("valid parameters");
         let start = Instant::now();
         let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(
+                &evaluator,
+                &candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )
+            .expect("estimation succeeds")
+            .queries[0];
         let elapsed = start.elapsed();
         let exact = exact_for_block(size);
         let (exact_str, error_str) = match exact {
             Some(value) => (
                 format!("{value:.4}"),
-                format!("{:.3}", (estimate.value - value).abs() / value),
+                format!("{:.3}", (estimate.estimate - value).abs() / value),
             ),
             None => ("n/a (too large for exact)".to_string(), "—".to_string()),
         };
@@ -400,7 +410,7 @@ fn fpras_block_sweep(
             format!("{blocks} × {size}"),
             db.len().to_string(),
             exact_str,
-            format!("{:.4}", estimate.value),
+            format!("{:.4}", estimate.estimate),
             error_str,
             estimate.samples.to_string(),
             format!("{elapsed:.1?}"),
@@ -437,8 +447,15 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let mut rng = StdRng::seed_from_u64(606);
     let estimate = estimator
-        .estimate(&evaluator, &candidate, params, &mut rng)
-        .expect("estimation succeeds");
+        .estimate_with_budget(
+            &evaluator,
+            &candidate,
+            params,
+            &RunBudget::unlimited(),
+            &mut rng,
+        )
+        .expect("estimation succeeds")
+        .queries[0];
 
     let mut table = Table::new(
         "E6 — Theorem 6.1(2): FPRAS for uniform sequences (SRFreq), primary keys",
@@ -447,7 +464,7 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
     table.add_row(vec![
         "srfreq on Figure 2 (exact 24/99 ≈ 0.2424), ε = 0.05".into(),
         "0.2424".into(),
-        format!("{:.4} with {} samples", estimate.value, estimate.samples),
+        format!("{:.4} with {} samples", estimate.estimate, estimate.samples),
     ]);
 
     // Larger workloads: the sampler is polynomial; report estimates, sample
@@ -464,15 +481,22 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
         let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(
+                &evaluator,
+                &candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )
+            .expect("estimation succeeds")
+            .queries[0];
         let elapsed = start.elapsed();
         table.add_row(vec![
             format!("{blocks} blocks × {size} facts, ε = 0.1"),
             format!("|CRS| has {digits} digits"),
             format!(
                 "estimate {:.4}, {} samples, {:.1?}",
-                estimate.value, estimate.samples, elapsed
+                estimate.estimate, estimate.samples, elapsed
             ),
         ]);
     }
@@ -510,13 +534,17 @@ pub fn e07_fpras_uniform_operations_keys() -> Vec<Table> {
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let start = Instant::now();
     let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .expect("estimation succeeds");
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+        .expect("estimation succeeds")
+        .queries[0];
     table.add_row(vec![
         format!("8 facts, domain 3 (exactly solvable)"),
         format!("{exact:.4}"),
-        format!("{:.4}", estimate.value),
-        format!("{:.3}", (estimate.value - exact).abs() / exact.max(1e-12)),
+        format!("{:.4}", estimate.estimate),
+        format!(
+            "{:.3}",
+            (estimate.estimate - exact).abs() / exact.max(1e-12)
+        ),
         estimate.samples.to_string(),
         format!("{:.1?}", start.elapsed()),
     ]);
@@ -531,12 +559,13 @@ pub fn e07_fpras_uniform_operations_keys() -> Vec<Table> {
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
         let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+            .expect("estimation succeeds")
+            .queries[0];
         table.add_row(vec![
             format!("{facts} facts, domain {domain}"),
             "n/a".into(),
-            format!("{:.4}", estimate.value),
+            format!("{:.4}", estimate.estimate),
             "—".into(),
             estimate.samples.to_string(),
             format!("{:.1?}", start.elapsed()),
@@ -575,13 +604,17 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let start = Instant::now();
     let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .expect("estimation succeeds");
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+        .expect("estimation succeeds")
+        .queries[0];
     table.add_row(vec![
         "9 facts, FD A→B (exactly solvable)".into(),
         format!("{exact:.4}"),
-        format!("{:.4}", estimate.value),
-        format!("{:.3}", (estimate.value - exact).abs() / exact.max(1e-12)),
+        format!("{:.4}", estimate.estimate),
+        format!(
+            "{:.3}",
+            (estimate.estimate - exact).abs() / exact.max(1e-12)
+        ),
         estimate.samples.to_string(),
         format!("{:.1?}", start.elapsed()),
     ]);
@@ -595,18 +628,38 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
         let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+            .expect("estimation succeeds")
+            .queries[0];
         table.add_row(vec![
             format!("{facts} facts, FD A→B (Lemma D.8 bound {lower_bound:.2e})"),
             "n/a".into(),
-            format!("{:.4}", estimate.value),
+            format!("{:.4}", estimate.estimate),
             "—".into(),
             estimate.samples.to_string(),
             format!("{:.1?}", start.elapsed()),
         ]);
     }
     vec![table]
+}
+
+/// The raw uniform-operations walk with a Boolean entailment check, as a
+/// one-query experiment for the stopping loop (E9 runs it where the FPRAS
+/// driver refuses to).
+struct RawWalk<'a> {
+    walk: OperationWalkSampler<'a>,
+    db: &'a Database,
+    evaluator: &'a QueryEvaluator,
+}
+
+impl StoppingBatchExperiment<StdRng> for RawWalk<'_> {
+    fn draw(&mut self, rng: &mut StdRng, hits: &mut [bool]) {
+        let repair = self.walk.sample_result(rng);
+        hits[0] = self
+            .evaluator
+            .has_answer(self.db, &repair, &[])
+            .expect("boolean query");
+    }
 }
 
 /// E9 — Proposition D.6: with pair removals and FDs the target probability
@@ -649,16 +702,14 @@ pub fn e09_proposition_d6() -> Vec<Table> {
             OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()),
             Err(CoreError::Unsupported { .. })
         );
-        let walk = OperationWalkSampler::new(&db, &sigma);
+        let mut walk = RawWalk {
+            walk: OperationWalkSampler::new(&db, &sigma),
+            db: &db,
+            evaluator: &evaluator,
+        };
         let mut rng = StdRng::seed_from_u64(900 + n as u64);
-        let stopping =
-            ucqa_core::montecarlo::StoppingRuleEstimator::new(0.2, 0.1).with_max_samples(200_000);
-        let outcome = stopping.estimate(&mut rng, |rng| {
-            let repair = walk.sample_result(rng);
-            evaluator
-                .has_answer(&db, &repair, &[])
-                .expect("boolean query")
-        });
+        let target = StoppingRuleEstimator::new(0.2, 0.1).success_target();
+        let outcome = estimate_stopping_batch(&mut rng, &[target], 200_000, &mut walk).outcomes[0];
         let walk_cell = if outcome.truncated {
             format!(
                 "truncated: {} successes in {} samples",
@@ -941,15 +992,29 @@ pub fn e12_scaling() -> Vec<Table> {
             .expect("primary keys");
         let start = Instant::now();
         let ur_estimate = ur
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(
+                &evaluator,
+                &candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )
+            .expect("estimation succeeds")
+            .queries[0];
         let ur_time = start.elapsed();
         let uo =
             OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).expect("keys");
         let start = Instant::now();
         let uo_estimate = uo
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .expect("estimation succeeds");
+            .estimate_with_budget(
+                &evaluator,
+                &candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )
+            .expect("estimation succeeds")
+            .queries[0];
         let uo_time = start.elapsed();
 
         table.add_row(vec![

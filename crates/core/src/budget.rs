@@ -17,11 +17,11 @@
 //! ones degrade.
 //!
 //! Budget checks consume **no randomness**: the RNG is touched only by
-//! the shared repair draw, so a run under [`RunBudget::unlimited`] is
-//! bit-identical to the un-budgeted entry points under the same seed, and
-//! a cancelled run that is *resumed* with the same RNG continues the very
-//! same sample stream (see
-//! [`crate::fpras::BatchEstimator::estimate_stopping_batch_resume`]).
+//! the shared repair draw, so a budget whose limits are never reached is
+//! bit-identical to [`RunBudget::unlimited`] under the same seed, and a
+//! cancelled run that is *resumed* with the same RNG continues the very
+//! same sample stream (pass it as the `prior` of
+//! [`crate::fpras::BatchEstimator::estimate_with_bank`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -269,8 +269,9 @@ impl RunBudget {
         self
     }
 
-    /// Caps the number of enumeration steps of bank compilation
-    /// ([`crate::fpras::BatchEstimator::compile_bank_with_budget`]):
+    /// Caps the number of enumeration steps of bank compilation (in
+    /// [`crate::fpras::BatchEstimator::estimate_batch_with_budget`] and
+    /// the other entry points that compile under a budget):
     /// a pathological bank degrades to per-draw evaluator fallback
     /// instead of stalling before sampling even starts.
     pub fn with_max_compile_steps(mut self, steps: u64) -> Self {
@@ -418,7 +419,7 @@ pub struct QueryOutcome {
 /// The result of a budgeted estimation run: per-query partial estimates,
 /// the shared stream length, and how the run ended.
 ///
-/// Returned by the `*_with_budget` entry points of
+/// Returned by every estimation entry point of
 /// [`crate::fpras::OcqaEstimator`] and [`crate::fpras::BatchEstimator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateOutcome {

@@ -367,12 +367,14 @@ mod tests {
                 let partial = batch
                     .estimate_stopping_batch_with_budget(&queries, params, &budget, &mut rng)
                     .unwrap();
+                let bank = batch.compile_bank(&queries).unwrap();
                 let resumed = batch
-                    .estimate_stopping_batch_resume(
+                    .estimate_with_bank(
+                        &bank,
                         &queries,
                         params,
                         &RunBudget::unlimited(),
-                        &partial,
+                        Some(&partial),
                         &mut rng,
                     )
                     .unwrap();
@@ -390,7 +392,7 @@ mod tests {
 
     /// Robustness invariant (b): attaching chaos machinery without letting
     /// it fire — a skewed clock but no deadline, an untripped token — is
-    /// bit-identical to the plain unbudgeted paths, across all six specs.
+    /// bit-identical to an unlimited budget, across all six specs.
     #[test]
     fn dormant_faults_leave_estimates_bit_identical() {
         let (db, sigma) = figure2();
@@ -412,7 +414,12 @@ mod tests {
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
             let plain = batch
-                .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(7))
+                .estimate_stopping_batch_with_budget(
+                    &queries,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(7),
+                )
                 .unwrap();
             let budgeted = batch
                 .estimate_stopping_batch_with_budget(
@@ -422,16 +429,7 @@ mod tests {
                     &mut StdRng::seed_from_u64(7),
                 )
                 .unwrap();
-            assert_eq!(
-                (
-                    budgeted.queries[0].estimate,
-                    budgeted.queries[0].samples,
-                    budgeted.queries[0].successes,
-                ),
-                (plain[0].value, plain[0].samples, plain[0].successes),
-                "spec {}",
-                spec.short_name()
-            );
+            assert_eq!(budgeted, plain, "spec {}", spec.short_name());
         }
     }
 

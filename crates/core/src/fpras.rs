@@ -19,14 +19,13 @@ use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
 use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
-use ucqa_query::{BankLiveSet, BankScratch, CompiledLineage, LineageBank, QueryEvaluator};
+use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
 use crate::bounds;
-use crate::budget::{AchievedBound, EstimateOutcome, QueryOutcome, RunBudget};
+use crate::budget::{AchievedBound, BudgetStatus, EstimateOutcome, QueryOutcome, RunBudget};
 use crate::montecarlo::{
-    estimate_fixed, estimate_fixed_batch, estimate_fixed_batch_budgeted, estimate_fixed_budgeted,
-    estimate_stopping_batch, estimate_stopping_batch_budgeted, BudgetedStoppingOutcome,
+    estimate_fixed_batch_budgeted, estimate_stopping_batch_budgeted, BudgetedStoppingOutcome,
     StoppingBatchExperiment, StoppingRuleEstimator, StoppingRuleOutcome,
 };
 use crate::sample_operations::{OperationWalkSampler, WalkScratch};
@@ -102,20 +101,6 @@ impl ApproximationParams {
     }
 }
 
-/// The result of an approximate OCQA run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Estimate {
-    /// The estimated probability `P_{M_Σ,Q}(D, c̄)`.
-    pub value: f64,
-    /// Number of samples drawn.
-    pub samples: u64,
-    /// Number of samples whose repair entailed the answer.
-    pub successes: u64,
-    /// Whether a sample cut-off truncated the run (the `(ε, δ)` guarantee
-    /// then no longer applies; the value is the plain empirical mean).
-    pub truncated: bool,
-}
-
 /// Which sampler backs the estimator.
 ///
 /// The operations walker owns its precomputed [`ucqa_db::ConflictIndex`],
@@ -135,9 +120,9 @@ impl SamplerKind<'_> {
     /// Draws one repair into the reused buffer.
     ///
     /// This is the *only* place the Monte-Carlo loops consume the RNG —
-    /// both the single-query and the batched experiment dispatch through
-    /// it, which is what makes their outcomes bit-identical under a
-    /// shared seed.
+    /// every loop's experiment dispatches through it, which is what makes
+    /// a bank of `k` bit-identical to `k` banks of one under a shared
+    /// seed.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -316,66 +301,28 @@ impl<'a> OcqaEstimator<'a> {
         }
     }
 
-    /// Estimates `P_{M_Σ,Q}(D, c̄)`.
+    /// Estimates `P_{M_Σ,Q}(D, c̄)` under a [`RunBudget`].
     ///
-    /// The per-sample Bernoulli experiment is fully compiled before the
-    /// Monte-Carlo loop starts: the query lineage of the candidate is
-    /// compiled into a monotone DNF of witness bitsets
-    /// ([`CompiledLineage`]), the sampled repair is drawn into a reused
-    /// bitset buffer, and entailment becomes a word-level
-    /// "some witness ⊆ repair" check — the loop performs no heap
-    /// allocation and no backtracking search.  When the witness count
-    /// exceeds [`ucqa_query::lineage::DEFAULT_WITNESS_CAP`], the check
-    /// falls back to the (slot-compiled) backtracking evaluator.
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        evaluator: &QueryEvaluator,
-        candidate: &[Value],
-        params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Estimate, CoreError> {
-        params.validate()?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens.
-        let lineage = CompiledLineage::compile(evaluator, self.db, candidate)?;
-
-        let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-        let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
-
-        let estimate = match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => {
-                let outcome = StoppingRuleEstimator::new(params.epsilon, params.delta)
-                    .with_max_samples(max_samples)
-                    .estimate(rng, experiment);
-                Estimate {
-                    value: outcome.estimate,
-                    samples: outcome.samples,
-                    successes: outcome.successes,
-                    truncated: outcome.truncated,
-                }
-            }
-            _ => {
-                let samples = self.fixed_sample_count(evaluator, params)?;
-                let outcome = estimate_fixed(rng, samples, experiment);
-                Estimate {
-                    value: outcome.estimate,
-                    samples: outcome.samples,
-                    successes: outcome.successes,
-                    truncated: false,
-                }
-            }
-        };
-        Ok(estimate)
-    }
-
-    /// As [`OcqaEstimator::estimate`], under a [`RunBudget`].
+    /// A single query is a bank of one: the candidate's lineage is
+    /// compiled into a one-entry [`LineageBank`] — a monotone DNF of
+    /// witness bitsets, so the per-draw entailment check is a word-level
+    /// "some witness ⊆ repair" test with no heap allocation and no
+    /// backtracking search (falling back to the slot-compiled evaluator
+    /// when the witness count exceeds [`DEFAULT_WITNESS_CAP`]) — and the
+    /// run goes through the same driver as
+    /// [`BatchEstimator::estimate_with_bank`].  Compilation validates the
+    /// candidate arity before any sampling happens; the budget's
+    /// compile-step cap (and its cancel flag) interrupt a pathological
+    /// enumeration into evaluator fallback.
     ///
     /// The budget is polled between draws and consumes no randomness: an
-    /// unconstrained budget draws the same sample stream as
-    /// [`OcqaEstimator::estimate`] and reports the same counts, with
-    /// status [`Converged`](crate::budget::BudgetStatus::Converged).  An interrupted run returns the
-    /// partial estimate together with the achieved `(ε′, δ)` bound at the
-    /// observed counts (see [`AchievedBound`]).
+    /// unconstrained budget runs the mode to completion with status
+    /// [`Converged`](BudgetStatus::Converged) (a stopping run that hits
+    /// its `max_samples` cut-off reports
+    /// [`BudgetExhausted`](BudgetStatus::BudgetExhausted)).  An
+    /// interrupted run returns the partial estimate together with the
+    /// achieved `(ε′, δ)` bound at the observed counts (see
+    /// [`AchievedBound`]).
     pub fn estimate_with_budget<R: Rng + ?Sized>(
         &self,
         evaluator: &QueryEvaluator,
@@ -384,96 +331,19 @@ impl<'a> OcqaEstimator<'a> {
         budget: &RunBudget,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        params.validate()?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens; the budget's compile-step cap (and its cancel
-        // flag) interrupt pathological banks into evaluator fallback.
-        let lineage = CompiledLineage::compile_with_budget(
-            evaluator,
-            self.db,
-            candidate,
-            &budget.compile_budget(),
-        )?;
-
-        let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-        let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
-
-        let (outcome, status) = match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => {
-                StoppingRuleEstimator::try_new(params.epsilon, params.delta)?
-                    .with_max_samples(max_samples)
-                    .estimate_budgeted(rng, budget, experiment)
-            }
-            _ => {
-                let samples = self.fixed_sample_count(evaluator, params)?;
-                let (fixed, status) = estimate_fixed_budgeted(rng, samples, budget, experiment);
-                (
-                    StoppingRuleOutcome {
-                        estimate: fixed.estimate,
-                        samples: fixed.samples,
-                        successes: fixed.successes,
-                        truncated: !status.is_converged(),
-                    },
-                    status,
-                )
-            }
-        };
-        Ok(EstimateOutcome {
-            queries: vec![QueryOutcome {
-                estimate: outcome.estimate,
-                samples: outcome.samples,
-                successes: outcome.successes,
-                status,
-                achieved: AchievedBound::at(outcome.samples, outcome.successes, params.delta),
-            }],
-            total_draws: outcome.samples,
-        })
-    }
-
-    /// The sample count of a fixed-sample [`EstimatorMode`]; an error for
-    /// [`EstimatorMode::OptimalStopping`], whose sample count is data
-    /// dependent.
-    fn fixed_sample_count(
-        &self,
-        evaluator: &QueryEvaluator,
-        params: ApproximationParams,
-    ) -> Result<u64, CoreError> {
-        match params.mode {
-            EstimatorMode::FixedSamples(samples) => Ok(samples),
-            EstimatorMode::FixedAdditive => Ok(bounds::samples_for_additive_error(
-                params.epsilon,
-                params.delta,
-            )),
-            EstimatorMode::FixedFromLowerBound => {
-                let bound = self.theoretical_lower_bound(evaluator);
-                bounds::samples_for_relative_error(params.epsilon, params.delta, bound).ok_or_else(
-                    || CoreError::InvalidParameters {
-                        message: "the worst-case lower bound is too small to derive a \
-                                  practical sample count; use the optimal stopping rule \
-                                  (`OcqaEstimator::estimate`, or \
-                                  `BatchEstimator::estimate_stopping_batch` for a whole bank)"
-                            .to_string(),
-                    },
-                )
-            }
-            EstimatorMode::OptimalStopping { .. } => Err(CoreError::InvalidParameters {
-                message: "the optimal stopping rule has no fixed sample count; it is \
-                          sequential and supported by `OcqaEstimator::estimate`, and for \
-                          whole banks by `BatchEstimator::estimate_stopping_batch` and the \
-                          round-based `estimate_stopping_batch_rounds`"
-                    .to_string(),
-            }),
-        }
+        let queries = [BatchQuery::new(evaluator, candidate)];
+        let bank = self.compile(&queries, budget)?;
+        self.drive(&bank, &queries, params, budget, None, rng)
     }
 
     /// Estimates `P_{M_Σ,Q}(D, c̄)` with samples sharded across rayon
-    /// worker threads.
+    /// worker threads — a bank of one through
+    /// [`BatchEstimator::estimate_batch_parallel`]'s path.
     ///
-    /// Only the fixed-sample-count modes are supported (the optimal
-    /// stopping rule is inherently sequential).  Each shard owns its own
-    /// deterministic RNG stream derived from `master_seed` and its own
-    /// sampling buffers, so the result is bit-identical for a fixed master
-    /// seed regardless of the number of worker threads.
+    /// Each shard owns its own deterministic RNG stream derived from
+    /// `master_seed` and its own sampling buffers, so the result is
+    /// bit-identical for a fixed master seed regardless of the number of
+    /// worker threads.
     #[cfg(feature = "parallel")]
     pub fn estimate_parallel(
         &self,
@@ -481,24 +351,361 @@ impl<'a> OcqaEstimator<'a> {
         candidate: &[Value],
         params: ApproximationParams,
         master_seed: u64,
-    ) -> Result<Estimate, CoreError> {
-        use crate::montecarlo::{estimate_fixed_parallel, DEFAULT_SHARD_SIZE};
+    ) -> Result<EstimateOutcome, CoreError> {
+        let queries = [BatchQuery::new(evaluator, candidate)];
+        let bank = self.compile(&queries, &RunBudget::unlimited())?;
+        self.drive_parallel(&bank, &queries, params, master_seed)
+    }
+
+    /// Compiles the shared lineage of `queries` ([`LineageBank`]: grounded
+    /// plan-ordered atom sequences factored into one scan trie, witnesses
+    /// deduplicated into one arena), validating every candidate arity,
+    /// under the compile-time part of `budget`
+    /// ([`RunBudget::with_max_compile_steps`] and the cancel token).  An
+    /// interrupted enumeration degrades the **whole bank** to evaluator
+    /// fallback — a partial witness set would under-report entailment —
+    /// so estimation proceeds correctly, just without the word-level
+    /// bitset fast path.
+    fn compile(
+        &self,
+        queries: &[BatchQuery<'_>],
+        budget: &RunBudget,
+    ) -> Result<LineageBank, CoreError> {
+        let refs: Vec<(&QueryEvaluator, &[Value])> =
+            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
+        Ok(LineageBank::compile_with_budget(
+            self.db,
+            &refs,
+            DEFAULT_WITNESS_CAP,
+            &budget.compile_budget(),
+        )?)
+    }
+
+    /// The one sequential estimation driver: every estimate — a single
+    /// query (a bank of one), a whole bank, a resumed or an enrolled
+    /// stream — runs through here.
+    ///
+    /// Validates the arguments before any draw (returning
+    /// [`CoreError::InvalidParameters`], never advancing `rng`), then
+    /// dispatches on the [`EstimatorMode`]:
+    ///
+    /// * [`EstimatorMode::OptimalStopping`] runs the batched DKLR loop
+    ///   ([`estimate_stopping_batch_budgeted`]) with per-query target
+    ///   `Υ(ε, δ/k)`.  Without a `prior` every entry is live; with one,
+    ///   the live set is built from [`BankLiveSet::empty`] by
+    ///   [enrolling](BankLiveSet::enroll) exactly the prior's
+    ///   non-converged entries, converged entries are returned verbatim,
+    ///   and enrolled entries continue their stream at absolute draw
+    ///   counts.
+    /// * The fixed-sample modes run one shared loop of the common length
+    ///   ([`estimate_fixed_batch_budgeted`]); they cannot resume a prior.
+    fn drive<R: Rng + ?Sized>(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        budget: &RunBudget,
+        prior: Option<&EstimateOutcome>,
+        rng: &mut R,
+    ) -> Result<EstimateOutcome, CoreError> {
+        params.validate()?;
+        self.check_bank(bank, queries)?;
+        let k = queries.len();
+        if let Some(prior) = prior {
+            if prior.queries.len() != k {
+                return Err(invalid(format!(
+                    "the prior outcome covers {} entries, the batch {k}",
+                    prior.queries.len()
+                )));
+            }
+        }
+        match params.mode {
+            EstimatorMode::OptimalStopping { max_samples } => {
+                let (targets, per_query_delta) = stopping_targets(params, k);
+                let live = match prior {
+                    None => BankLiveSet::full(bank),
+                    Some(prior) => {
+                        let mut live = BankLiveSet::empty(bank);
+                        for (query, outcome) in prior.queries.iter().enumerate() {
+                            if !outcome.status.is_converged() {
+                                live.enroll(bank, query);
+                            }
+                        }
+                        live
+                    }
+                };
+                let resume = prior.map(budgeted_from);
+                let mut experiment = BatchStoppingExperiment::new(self, bank, queries, live);
+                let budgeted = estimate_stopping_batch_budgeted(
+                    rng,
+                    &targets,
+                    max_samples,
+                    budget,
+                    &mut experiment,
+                    resume.as_ref(),
+                );
+                Ok(outcome_from(budgeted, per_query_delta))
+            }
+            _ => {
+                if prior.is_some() {
+                    return Err(invalid(format!(
+                        "only EstimatorMode::OptimalStopping can resume a prior outcome \
+                         (got {:?}); a fixed-sample run has no per-entry convergence to \
+                         continue",
+                        params.mode
+                    )));
+                }
+                let samples = self.fixed_sample_count(queries, params)?;
+                let mut experiment =
+                    BatchStoppingExperiment::new(self, bank, queries, BankLiveSet::full(bank));
+                let mut hits = vec![false; k];
+                let (outcome, status) =
+                    estimate_fixed_batch_budgeted(rng, samples, k, budget, |rng, successes| {
+                        experiment.count(rng, &mut hits, successes)
+                    });
+                Ok(fixed_outcome(
+                    outcome.samples,
+                    &outcome.successes,
+                    status,
+                    params.delta,
+                ))
+            }
+        }
+    }
+
+    /// Checks that `bank` was compiled from `queries` and is current with
+    /// respect to the estimator's database.
+    fn check_bank(&self, bank: &LineageBank, queries: &[BatchQuery<'_>]) -> Result<(), CoreError> {
+        if bank.len() != queries.len() {
+            return Err(invalid(format!(
+                "the bank has {} entries but the batch {} queries: it was compiled from a \
+                 different query list",
+                bank.len(),
+                queries.len()
+            )));
+        }
+        if bank.universe() != self.db.len() {
+            return Err(invalid(format!(
+                "the bank is stale (universe {}, database {} facts): refresh it against \
+                 the database before estimating",
+                bank.universe(),
+                self.db.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The shared sample count of a fixed-sample [`EstimatorMode`] over
+    /// `queries`.
+    ///
+    /// [`EstimatorMode::FixedFromLowerBound`] derives its count from one
+    /// query's worst-case lower bound, so it is allowed exactly when the
+    /// bank has one entry (a larger bank would need a different count per
+    /// query, defeating the shared loop).
+    fn fixed_sample_count(
+        &self,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+    ) -> Result<u64, CoreError> {
+        match (params.mode, queries) {
+            (EstimatorMode::FixedSamples(samples), _) => Ok(samples),
+            (EstimatorMode::FixedAdditive, _) => Ok(bounds::samples_for_additive_error(
+                params.epsilon,
+                params.delta,
+            )),
+            (EstimatorMode::FixedFromLowerBound, [query]) => {
+                let bound = self.theoretical_lower_bound(query.evaluator);
+                bounds::samples_for_relative_error(params.epsilon, params.delta, bound).ok_or_else(
+                    || {
+                        invalid(
+                            "the worst-case lower bound is too small to derive a practical \
+                             sample count; use EstimatorMode::OptimalStopping",
+                        )
+                    },
+                )
+            }
+            (EstimatorMode::FixedFromLowerBound, _) => Err(invalid(format!(
+                "EstimatorMode::FixedFromLowerBound derives its sample count from one \
+                 query's lower bound, so it needs a bank of exactly one entry (got {}); use \
+                 FixedSamples, FixedAdditive or OptimalStopping for a larger bank",
+                queries.len()
+            ))),
+            (EstimatorMode::OptimalStopping { .. }, _) => Err(invalid(
+                "EstimatorMode::OptimalStopping has no fixed sample count; it is sequential",
+            )),
+        }
+    }
+
+    /// The rayon-sharded driver: fixed-sample modes share one sharded
+    /// loop, [`EstimatorMode::OptimalStopping`] runs the round-based
+    /// stopping rule with [`DEFAULT_ROUND_SAMPLES`] per round.
+    #[cfg(feature = "parallel")]
+    fn drive_parallel(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        master_seed: u64,
+    ) -> Result<EstimateOutcome, CoreError> {
+        use crate::montecarlo::{estimate_fixed_batch_parallel, DEFAULT_SHARD_SIZE};
+
+        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
+            return self.drive_rounds(
+                bank,
+                queries,
+                params,
+                master_seed,
+                DEFAULT_ROUND_SAMPLES,
+                &RunBudget::unlimited(),
+            );
+        }
+        params.validate()?;
+        self.check_bank(bank, queries)?;
+        let samples = self.fixed_sample_count(queries, params)?;
+        let k = queries.len();
+        let outcome =
+            estimate_fixed_batch_parallel(master_seed, samples, DEFAULT_SHARD_SIZE, k, || {
+                let mut experiment =
+                    BatchStoppingExperiment::new(self, bank, queries, BankLiveSet::full(bank));
+                let mut hits = vec![false; k];
+                move |rng: &mut rand::rngs::StdRng, successes: &mut [u64]| {
+                    experiment.count(rng, &mut hits, successes)
+                }
+            });
+        Ok(fixed_outcome(
+            samples,
+            &outcome.successes,
+            BudgetStatus::Converged,
+            params.delta,
+        ))
+    }
+
+    /// The round-based rayon-sharded stopping rule over `bank` (see
+    /// [`BatchEstimator::estimate_stopping_batch_rounds_with_budget`]).
+    #[cfg(feature = "parallel")]
+    fn drive_rounds(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        master_seed: u64,
+        round_samples: u64,
+        budget: &RunBudget,
+    ) -> Result<EstimateOutcome, CoreError> {
+        use crate::montecarlo::{estimate_stopping_batch_rounds_budgeted, DEFAULT_SHARD_SIZE};
 
         params.validate()?;
-        let samples = self.fixed_sample_count(evaluator, params)?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens.
-        let lineage = CompiledLineage::compile(evaluator, self.db, candidate)?;
-        let outcome = estimate_fixed_parallel(master_seed, samples, DEFAULT_SHARD_SIZE, || {
-            let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-            move |rng: &mut rand::rngs::StdRng| sample.draw(rng)
-        });
-        Ok(Estimate {
-            value: outcome.estimate,
-            samples: outcome.samples,
-            successes: outcome.successes,
-            truncated: false,
+        self.check_bank(bank, queries)?;
+        let EstimatorMode::OptimalStopping { max_samples } = params.mode else {
+            return Err(invalid(format!(
+                "the round-based stopping rule requires EstimatorMode::OptimalStopping \
+                 (got {:?}); use estimate_batch_parallel for the fixed-sample modes",
+                params.mode
+            )));
+        };
+        let (targets, per_query_delta) = stopping_targets(params, queries.len());
+        let budgeted = estimate_stopping_batch_rounds_budgeted(
+            master_seed,
+            &targets,
+            max_samples,
+            round_samples,
+            DEFAULT_SHARD_SIZE,
+            budget,
+            |live_queries| {
+                let live = BankLiveSet::restrict(bank, live_queries);
+                let mut experiment = BatchStoppingExperiment::new(self, bank, queries, live);
+                move |rng: &mut rand::rngs::StdRng, hits: &mut [bool]| {
+                    experiment.draw_live(rng, hits)
+                }
+            },
+        );
+        Ok(outcome_from(budgeted, per_query_delta))
+    }
+}
+
+/// The per-query DKLR success targets `Υ(ε, δ/k)` of a stopping run over
+/// a bank of `k`, and the per-query failure probability `δ/k` (a union
+/// bound over the bank restores the overall `(ε, δ)` guarantee).
+fn stopping_targets(params: ApproximationParams, k: usize) -> (Vec<u64>, f64) {
+    let per_query_delta = params.delta / k.max(1) as f64;
+    let target = StoppingRuleEstimator::new(params.epsilon, per_query_delta).success_target();
+    (vec![target; k], per_query_delta)
+}
+
+/// An [`CoreError::InvalidParameters`] with the given message.
+fn invalid(message: impl Into<String>) -> CoreError {
+    CoreError::InvalidParameters {
+        message: message.into(),
+    }
+}
+
+/// The public [`EstimateOutcome`] of a fixed-sample run: every entry
+/// observed the same `samples` draws and shares one `status`; the achieved
+/// bound is taken at `delta`.
+fn fixed_outcome(
+    samples: u64,
+    successes: &[u64],
+    status: BudgetStatus,
+    delta: f64,
+) -> EstimateOutcome {
+    let queries = successes
+        .iter()
+        .map(|&s| QueryOutcome {
+            estimate: if samples == 0 {
+                0.0
+            } else {
+                s as f64 / samples as f64
+            },
+            samples,
+            successes: s,
+            status,
+            achieved: AchievedBound::at(samples, s, delta),
         })
+        .collect();
+    EstimateOutcome {
+        queries,
+        total_draws: samples,
+    }
+}
+
+/// Converts a budgeted stopping-batch outcome into the public
+/// [`EstimateOutcome`], attaching each query's achieved `(ε′, δ/k)` bound
+/// at its observed counts.
+fn outcome_from(budgeted: BudgetedStoppingOutcome, per_query_delta: f64) -> EstimateOutcome {
+    let queries = budgeted
+        .outcomes
+        .iter()
+        .zip(&budgeted.statuses)
+        .map(|(o, &status)| QueryOutcome {
+            estimate: o.estimate,
+            samples: o.samples,
+            successes: o.successes,
+            status,
+            achieved: AchievedBound::at(o.samples, o.successes, per_query_delta),
+        })
+        .collect();
+    EstimateOutcome {
+        queries,
+        total_draws: budgeted.total_samples,
+    }
+}
+
+/// Reconstructs the resumable montecarlo-layer outcome from a prior public
+/// [`EstimateOutcome`].
+fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
+    BudgetedStoppingOutcome {
+        outcomes: prior
+            .queries
+            .iter()
+            .map(|q| StoppingRuleOutcome {
+                estimate: q.estimate,
+                samples: q.samples,
+                successes: q.successes,
+                truncated: !q.status.is_converged(),
+            })
+            .collect(),
+        statuses: prior.queries.iter().map(|q| q.status).collect(),
+        total_samples: prior.total_draws,
     }
 }
 
@@ -525,37 +732,37 @@ impl<'q> BatchQuery<'q> {
 /// A batched multi-query FPRAS driver: one sampler loop, `k` estimates.
 ///
 /// Estimating `k` queries over the same database with `k` independent
-/// [`OcqaEstimator::estimate`] calls runs `k` walk/sampler loops even
-/// though a single draw of an operational repair can answer *all* queries
-/// at once (the per-draw check is membership of the sampled repair in each
-/// query's lineage).  [`BatchEstimator`] compiles the whole query bank
-/// into a shared [`LineageBank`] — witness enumeration factored through a
-/// shared scan trie over the per-query join plans, witnesses deduplicated
-/// into one arena, per-query masks — and drives **one** sampling loop;
-/// each sampled repair updates every per-query hit counter in a single
-/// word-level pass.
+/// [`OcqaEstimator::estimate_with_budget`] calls runs `k` walk/sampler
+/// loops even though a single draw of an operational repair can answer
+/// *all* queries at once (the per-draw check is membership of the sampled
+/// repair in each query's lineage).  [`BatchEstimator`] compiles the whole
+/// query bank into a shared [`LineageBank`] — witness enumeration factored
+/// through a shared scan trie over the per-query join plans, witnesses
+/// deduplicated into one arena, per-query masks — and drives **one**
+/// sampling loop; each sampled repair updates every per-query hit counter
+/// in a single word-level pass.
 ///
 /// **Bit-identity guarantee.**  The RNG is consumed by the shared draw
-/// only, never by the per-query checks, so under a fixed seed
-/// [`BatchEstimator::estimate_batch`] returns, for every query, exactly
-/// the `Estimate` that a fresh single-query
-/// [`OcqaEstimator::estimate`] run would return from the same RNG state —
-/// and [`BatchEstimator::estimate_batch_parallel`] is bit-identical to
-/// `k` independent [`OcqaEstimator::estimate_parallel`] runs under the
-/// same master seed, regardless of thread count.
+/// only, never by the per-query checks, so under a fixed seed a bank of
+/// `k` returns, for every query, exactly the outcome a bank of one would
+/// return from the same RNG state (a single-query
+/// [`OcqaEstimator::estimate_with_budget`] run) — in the fixed-sample
+/// modes directly, and under the stopping rule with the bank's per-query
+/// target `Υ(ε, δ/k)`.  The rayon-sharded
+/// [`BatchEstimator::estimate_batch_parallel`] is likewise bit-identical
+/// to `k` [`OcqaEstimator::estimate_parallel`] runs in the fixed-sample
+/// modes, regardless of thread count.
 ///
-/// Three estimator modes are supported.  The fixed-sample-count modes
-/// ([`EstimatorMode::FixedSamples`] and [`EstimatorMode::FixedAdditive`])
-/// share one loop of a fixed length.  The adaptive
-/// [`EstimatorMode::OptimalStopping`] routes through the batched
-/// stopping rule ([`BatchEstimator::estimate_stopping_batch`], or the
-/// round-based [`BatchEstimator::estimate_stopping_batch_rounds`] on the
-/// parallel path): each query tracks its own Dagum–Karp–Luby–Ross success
+/// Three estimator modes are supported on a bank.  The fixed-sample-count
+/// modes ([`EstimatorMode::FixedSamples`] and
+/// [`EstimatorMode::FixedAdditive`]) share one loop of a fixed length.
+/// The adaptive [`EstimatorMode::OptimalStopping`] runs the batched
+/// stopping rule: each query tracks its own Dagum–Karp–Luby–Ross success
 /// target `Υ(ε, δ/k)` over the shared repair stream and **retires** as it
 /// converges, shrinking the per-draw work until the last query stops the
-/// stream.  Only [`EstimatorMode::FixedFromLowerBound`] is rejected (it
-/// would derive a different fixed count per query, defeating the shared
-/// loop).
+/// stream.  [`EstimatorMode::FixedFromLowerBound`] is accepted only for a
+/// bank of one entry (it would derive a different fixed count per query,
+/// defeating the shared loop).
 pub struct BatchEstimator<'a> {
     inner: OcqaEstimator<'a>,
 }
@@ -595,166 +802,18 @@ impl<'a> BatchEstimator<'a> {
         &self.inner
     }
 
-    /// The shared per-query sample count of a batched run, or an error for
-    /// the modes the batched loop cannot honour.
-    fn batch_sample_count(&self, params: ApproximationParams) -> Result<u64, CoreError> {
-        params.validate()?;
-        match params.mode {
-            EstimatorMode::FixedSamples(samples) => Ok(samples),
-            EstimatorMode::FixedAdditive => Ok(bounds::samples_for_additive_error(
-                params.epsilon,
-                params.delta,
-            )),
-            EstimatorMode::OptimalStopping { .. } | EstimatorMode::FixedFromLowerBound => {
-                Err(CoreError::InvalidParameters {
-                    message: "batched estimation shares one sample loop across all queries: \
-                              use a fixed-sample-count mode (FixedSamples, FixedAdditive), \
-                              or the adaptive OptimalStopping mode via \
-                              `estimate_batch`/`estimate_stopping_batch{,_rounds}` \
-                              (FixedFromLowerBound would derive a different count per query)"
-                        .to_string(),
-                })
-            }
-        }
-    }
-
-    /// The per-query stopping rule of a batched adaptive run over a bank
-    /// of `bank_size`: relative error `ε` with failure probability
-    /// `δ / bank_size`, so a union bound over the bank restores the
-    /// overall `(ε, δ)` guarantee.
-    fn per_query_stopping_rule(
-        &self,
-        params: ApproximationParams,
-        bank_size: usize,
-    ) -> StoppingRuleEstimator {
-        StoppingRuleEstimator::new(params.epsilon, params.delta / bank_size.max(1) as f64)
-    }
-
-    /// The `max_samples` cut-off of an adaptive batched run, or an error
-    /// when `params` is not in [`EstimatorMode::OptimalStopping`].
-    fn stopping_cut_off(&self, params: ApproximationParams) -> Result<u64, CoreError> {
-        params.validate()?;
-        match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => Ok(max_samples),
-            other => Err(CoreError::InvalidParameters {
-                message: format!(
-                    "the batched stopping rule requires EstimatorMode::OptimalStopping \
-                     (got {other:?}); use `estimate_batch` for the fixed-sample modes"
-                ),
-            }),
-        }
-    }
-
     /// Estimates `P_{M_Σ,Qᵢ}(D, c̄ᵢ)` for every query of the bank from one
-    /// shared sequence of sampled repairs.
+    /// shared sequence of sampled repairs, under a [`RunBudget`].
     ///
     /// Compiles the [`LineageBank`] (validating every candidate arity)
-    /// before any sampling happens; queries whose witness enumeration
-    /// overflows the cap fall back to the backtracking evaluator per draw
-    /// while the rest stay on the word-level bitset path.
-    ///
-    /// [`EstimatorMode::OptimalStopping`] routes through
-    /// [`BatchEstimator::estimate_stopping_batch`]; the fixed modes share
-    /// one loop of the common length.
-    pub fn estimate_batch<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch(queries, params, rng);
-        }
-        let bank = self.compile_bank(queries)?;
-        self.estimate_batch_with_bank(&bank, queries, params, rng)
-    }
-
-    /// As [`BatchEstimator::estimate_batch`] (fixed-sample modes only),
-    /// driving a bank compiled earlier with
-    /// [`BatchEstimator::compile_bank`] — the compile-once / estimate-many
-    /// pattern, and the hook the `e17` bench uses to time compilation and
-    /// estimation separately.
-    ///
-    /// # Panics
-    /// Panics if `bank` was not compiled from `queries` (length mismatch).
-    pub fn estimate_batch_with_bank<R: Rng + ?Sized>(
-        &self,
-        bank: &LineageBank,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        assert_eq!(
-            bank.len(),
-            queries.len(),
-            "bank was compiled from a different query list"
-        );
-        let samples = self.batch_sample_count(params)?;
-        let mut experiment = BatchExperiment::new(&self.inner, bank, queries);
-        let outcome = estimate_fixed_batch(rng, samples, queries.len(), |rng, successes| {
-            experiment.draw(rng, successes)
-        });
-        Ok(Self::estimates_from(samples, &outcome.successes))
-    }
-
-    /// Estimates every query of the bank adaptively from **one** shared
-    /// repair stream under the Dagum–Karp–Luby–Ross stopping rule: query
-    /// `i` tracks its own success target `Υ(ε, δ/k)` and **retires** the
-    /// moment it is reached — its witnesses drop out of the shared
-    /// per-draw containment scan ([`BankLiveSet`]), so the per-draw cost
-    /// shrinks as the bank drains — and the stream stops when the last
-    /// query retires or `max_samples` truncates it (reported per query via
-    /// [`Estimate::truncated`]; a zero-probability query truncates at the
-    /// cut-off without stalling the retirement of the others).
-    ///
-    /// Requires [`EstimatorMode::OptimalStopping`].  With `δ/k` per query,
-    /// a union bound gives: with probability at least `1 − δ`, **every**
-    /// non-truncated estimate is within relative error `ε` of its true
-    /// probability.
-    ///
-    /// **Bit-identity.**  The RNG is consumed by the shared repair draw
-    /// only, and query `i` retires after observing exactly the stream
-    /// prefix an independent run would draw, so each outcome is
-    /// bit-identical to a standalone stopping-rule run with the same
-    /// target `Υ(ε, δ/k)` from the same RNG state.  (The *round-based*
-    /// parallel variant [`BatchEstimator::estimate_stopping_batch_rounds`]
-    /// is the one that trades bit-identity for sharding — see there.)
-    pub fn estimate_stopping_batch<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank(queries)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let live = BankLiveSet::full(&bank);
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-        let outcome = estimate_stopping_batch(rng, &targets, max_samples, &mut experiment);
-        Ok(outcome
-            .outcomes
-            .into_iter()
-            .map(|o| Estimate {
-                value: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                truncated: o.truncated,
-            })
-            .collect())
-    }
-
-    /// As [`BatchEstimator::estimate_batch`], under a [`RunBudget`].
-    ///
-    /// [`EstimatorMode::OptimalStopping`] routes through
-    /// [`BatchEstimator::estimate_stopping_batch_with_budget`]; the fixed
-    /// modes share one loop that the budget can cut at any draw, in which
-    /// case every query reports the same truncated sample count together
-    /// with its achieved `(ε′, δ)` bound.  The budget's compile-step cap
-    /// also bounds bank compilation
-    /// ([`BatchEstimator::compile_bank_with_budget`]).
+    /// before any sampling happens, under the budget's compile-step cap;
+    /// queries whose witness enumeration overflows the cap (or whose bank
+    /// the budget interrupted) fall back to the backtracking evaluator per
+    /// draw.  Then runs [`BatchEstimator::estimate_with_bank`] without a
+    /// prior: [`EstimatorMode::OptimalStopping`] retires queries as they
+    /// converge, the fixed modes share one loop that the budget can cut at
+    /// any draw, in which case every query reports the same truncated
+    /// sample count together with its achieved `(ε′, δ)` bound.
     pub fn estimate_batch_with_budget<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
@@ -762,53 +821,29 @@ impl<'a> BatchEstimator<'a> {
         budget: &RunBudget,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch_with_budget(queries, params, budget, rng);
-        }
-        let samples = self.batch_sample_count(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let mut experiment = BatchExperiment::new(&self.inner, &bank, queries);
-        let (outcome, status) =
-            estimate_fixed_batch_budgeted(rng, samples, queries.len(), budget, |rng, successes| {
-                experiment.draw(rng, successes)
-            });
-        let queries = outcome
-            .successes
-            .iter()
-            .map(|&s| QueryOutcome {
-                estimate: if outcome.samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / outcome.samples as f64
-                },
-                samples: outcome.samples,
-                successes: s,
-                status,
-                achieved: AchievedBound::at(outcome.samples, s, params.delta),
-            })
-            .collect();
-        Ok(EstimateOutcome {
-            queries,
-            total_draws: outcome.samples,
-        })
+        let bank = self.inner.compile(queries, budget)?;
+        self.inner.drive(&bank, queries, params, budget, None, rng)
     }
 
-    /// As [`BatchEstimator::estimate_stopping_batch`], under a
-    /// [`RunBudget`].
+    /// As [`BatchEstimator::estimate_batch_with_budget`], requiring
+    /// [`EstimatorMode::OptimalStopping`]: every query of the bank is
+    /// estimated adaptively from **one** shared repair stream, query `i`
+    /// tracking its own success target `Υ(ε, δ/k)` and **retiring** the
+    /// moment it is reached — its witnesses drop out of the shared
+    /// per-draw containment scan ([`BankLiveSet`]), so the per-draw cost
+    /// shrinks as the bank drains.  With `δ/k` per query, a union bound
+    /// gives: with probability at least `1 − δ`, **every** converged
+    /// estimate is within relative error `ε` of its true probability.
     ///
-    /// The budget is polled between draws and consumes no randomness, so
-    /// an unconstrained budget retires every query at exactly the draw
-    /// [`BatchEstimator::estimate_stopping_batch`] would, with status
-    /// [`Converged`](crate::budget::BudgetStatus::Converged)
-    /// (property-tested bit-identical).  When
-    /// the budget interrupts the stream, queries that already retired
-    /// **keep their converged values**; queries still live report the
-    /// empirical mean over the truncated stream, flagged
-    /// [`BudgetExhausted`](crate::budget::BudgetStatus::BudgetExhausted) or
-    /// [`Cancelled`](crate::budget::BudgetStatus::Cancelled), each with the achieved
+    /// The budget is polled between draws and consumes no randomness.
+    /// When it interrupts the stream, queries that already retired **keep
+    /// their converged values**; queries still live report the empirical
+    /// mean over the truncated stream, flagged
+    /// [`BudgetExhausted`](BudgetStatus::BudgetExhausted) or
+    /// [`Cancelled`](BudgetStatus::Cancelled), each with the achieved
     /// `(ε′, δ/k)` bound at its observed counts.  An interrupted outcome
-    /// can be continued with
-    /// [`BatchEstimator::estimate_stopping_batch_resume`].
+    /// can be continued by passing it as the `prior` of
+    /// [`BatchEstimator::estimate_with_bank`].
     pub fn estimate_stopping_batch_with_budget<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
@@ -816,50 +851,42 @@ impl<'a> BatchEstimator<'a> {
         budget: &RunBudget,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        self.stopping_batch_budgeted(queries, params, budget, rng, None)
+        if !matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
+            return Err(invalid(format!(
+                "the batched stopping rule requires EstimatorMode::OptimalStopping (got {:?}); \
+                 use estimate_batch_with_budget for the fixed-sample modes",
+                params.mode
+            )));
+        }
+        self.estimate_batch_with_budget(queries, params, budget, rng)
     }
 
-    /// Continues an interrupted
-    /// [`BatchEstimator::estimate_stopping_batch_with_budget`] run.
+    /// Estimates a bank compiled (or [refreshed](LineageBank::refresh))
+    /// earlier — the compile-once / estimate-many pattern — optionally
+    /// continuing a `prior` outcome.
     ///
-    /// `prior` must be the outcome of a budgeted stopping-batch run over
-    /// the **same queries and parameters**, and `rng` must be the same
-    /// generator, positioned where the interrupted run left it (the budget
-    /// machinery consumes no randomness, so an interruption at draw `t`
-    /// leaves the RNG after exactly `t` draws).  Converged entries keep
-    /// their frozen outcomes; live entries pick their success counts back
-    /// up, and the concatenated run is **bit-identical** to one
-    /// uninterrupted run (property-tested).  Draw counts are absolute
-    /// across resumption: `max_samples`, a draw cap and a
+    /// Without a `prior` this is
+    /// [`BatchEstimator::estimate_batch_with_budget`] minus the
+    /// compilation.  With one (requires
+    /// [`EstimatorMode::OptimalStopping`]) it is both the **resume** path
+    /// of an interrupted run and the **enrollment** path of the
+    /// sliding-window estimator (`crate::stream`), the admission dual of
+    /// the retirement the stopping loop performs as queries converge.
+    /// The live set is built from [`BankLiveSet::empty`] by
+    /// [enrolling](BankLiveSet::enroll) exactly the prior's non-converged
+    /// entries.  Converged entries of `prior` are returned **verbatim**
+    /// (bit-identical, zero draws); enrolled entries pick their success
+    /// counts back up.
+    ///
+    /// To resume, `prior` must come from a run over the **same queries
+    /// and parameters**, and `rng` must be the same generator, positioned
+    /// where the interrupted run left it (the budget machinery consumes no
+    /// randomness, so an interruption at draw `t` leaves the RNG after
+    /// exactly `t` draws); the concatenated run is then **bit-identical**
+    /// to one uninterrupted run (property-tested).  Draw counts are
+    /// absolute across resumption: `max_samples`, a draw cap and a
     /// [`tripped_at_draw`](crate::budget::CancelToken::tripped_at_draw)
     /// token all refer to the total stream length.
-    pub fn estimate_stopping_batch_resume<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        prior: &EstimateOutcome,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        let resume = Self::budgeted_from(prior);
-        self.stopping_batch_budgeted(queries, params, budget, rng, Some(&resume))
-    }
-
-    /// As [`BatchEstimator::estimate_stopping_batch_resume`], driving a
-    /// bank compiled (or [refreshed](LineageBank::refresh)) earlier
-    /// instead of recompiling — the **enrollment** path of the
-    /// sliding-window estimator (`crate::stream`), and the admission dual
-    /// of the retirement the stopping loop performs as queries converge.
-    ///
-    /// The live set is built from scratch: [`BankLiveSet::empty`], then
-    /// [`BankLiveSet::enroll`] for exactly the prior's non-converged
-    /// entries — the same membership the montecarlo resume derives, so
-    /// the driver's retirement re-announcements for frozen entries are
-    /// no-ops and construction cost tracks the enrolled set.  Converged
-    /// entries of `prior` are returned **verbatim** (bit-identical,
-    /// zero draws); enrolled entries continue their stream at absolute
-    /// draw counts exactly as
-    /// [`BatchEstimator::estimate_stopping_batch_resume`] would.
     ///
     /// `prior` is also the seeding hook for a *fresh* stream over a
     /// refreshed bank: hand in a baseline outcome whose entries carry
@@ -867,98 +894,28 @@ impl<'a> BatchEstimator<'a> {
     /// (re-)enter the loop, and converged outcomes carried over verbatim
     /// for everything that should not.
     ///
-    /// # Panics
-    /// Panics if `bank` was not compiled from `queries`, if `prior` is
-    /// for a different batch, or if `bank` is stale with respect to the
-    /// estimator's database.
-    pub fn estimate_stopping_batch_resume_with_bank<R: Rng + ?Sized>(
+    /// # Errors
+    /// [`CoreError::InvalidParameters`], before any draw, if `bank` was not
+    /// compiled from `queries`, if `bank` is stale with respect to the
+    /// estimator's database, if `prior` covers a different number of
+    /// entries, or if a `prior` is passed with a fixed-sample mode.
+    pub fn estimate_with_bank<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         budget: &RunBudget,
-        prior: &EstimateOutcome,
+        prior: Option<&EstimateOutcome>,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        assert_eq!(
-            bank.len(),
-            queries.len(),
-            "bank was compiled from a different query list"
-        );
-        assert_eq!(
-            prior.queries.len(),
-            queries.len(),
-            "prior outcome is for a different batch"
-        );
-        assert_eq!(
-            bank.universe(),
-            self.inner.db.len(),
-            "bank is stale: refresh it against the database before resuming"
-        );
-        let max_samples = self.stopping_cut_off(params)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let mut live = BankLiveSet::empty(bank);
-        for (query, outcome) in prior.queries.iter().enumerate() {
-            if !outcome.status.is_converged() {
-                live.enroll(bank, query);
-            }
-        }
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, bank, queries, live);
-        let resume = Self::budgeted_from(prior);
-        let budgeted = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            budget,
-            &mut experiment,
-            Some(&resume),
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
+        self.inner.drive(bank, queries, params, budget, prior, rng)
     }
 
-    /// Shared driver of the budgeted stopping-batch paths.
-    fn stopping_batch_budgeted<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        rng: &mut R,
-        resume: Option<&BudgetedStoppingOutcome>,
-    ) -> Result<EstimateOutcome, CoreError> {
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let live = BankLiveSet::full(&bank);
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-        let budgeted = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            budget,
-            &mut experiment,
-            resume,
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
-    }
-
-    /// Round-based rayon-sharded variant of
-    /// [`BatchEstimator::estimate_stopping_batch`]: draws `round_samples`
-    /// shared repairs per round (sharded across worker threads with
-    /// deterministic per-shard RNG streams), retires converged queries at
-    /// each round boundary, and rebuilds the compacted live bank view for
-    /// the next round.
+    /// Round-based rayon-sharded stopping rule under a [`RunBudget`]:
+    /// draws `round_samples` shared repairs per round (sharded across
+    /// worker threads with deterministic per-shard RNG streams), retires
+    /// converged queries at each round boundary, and rebuilds the
+    /// compacted live bank view for the next round.
     ///
     /// **Where bit-identity ends.**  Retirement is round-granular: a query
     /// crossing its success target mid-round keeps observing draws to the
@@ -968,66 +925,17 @@ impl<'a> BatchEstimator<'a> {
     /// `k` independent stopping-rule runs) in *guarantee*, not
     /// bit-for-bit.  It **is** bit-identical across thread counts for a
     /// fixed `master_seed` (deterministic shard seeds, integer success
-    /// sums, round-boundary retirement).  The `(ε, δ)` accuracy bound is
-    /// validated against the exact solver in the test-suite.
-    ///
-    /// Only available with the `parallel` feature (rayon).
-    #[cfg(feature = "parallel")]
-    pub fn estimate_stopping_batch_rounds(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        master_seed: u64,
-        round_samples: u64,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        use crate::montecarlo::{estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE};
-
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank(queries)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let outcome = estimate_stopping_batch_rounds(
-            master_seed,
-            &targets,
-            max_samples,
-            round_samples,
-            DEFAULT_SHARD_SIZE,
-            |live_queries| {
-                let live = BankLiveSet::restrict(&bank, live_queries);
-                let mut experiment =
-                    BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-                move |rng: &mut rand::rngs::StdRng, hits: &mut [bool]| {
-                    experiment.draw_live(rng, hits)
-                }
-            },
-        );
-        Ok(outcome
-            .outcomes
-            .into_iter()
-            .map(|o| Estimate {
-                value: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                truncated: o.truncated,
-            })
-            .collect())
-    }
-
-    /// As [`BatchEstimator::estimate_stopping_batch_rounds`], under a
-    /// [`RunBudget`].
+    /// sums, round-boundary retirement) whenever the budget decisions are
+    /// deterministic (draw caps and pre-tripped tokens are; wall-clock
+    /// deadlines are not).  The `(ε, δ)` accuracy bound is validated
+    /// against the exact solver in the test-suite.
     ///
     /// The budget is polled once per **round boundary** (consuming no
-    /// randomness): cancellation here is round-granular, an unconstrained
-    /// budget is bit-identical to the unbudgeted rounds path, and the
-    /// outcome stays bit-identical across thread counts for a fixed
-    /// `master_seed` whenever the budget decisions are deterministic (draw
-    /// caps and pre-tripped tokens are; wall-clock deadlines are not).
-    /// Resumption is not offered on this path — mid-round work cannot be
-    /// replayed draw-by-draw; use the sequential
-    /// [`BatchEstimator::estimate_stopping_batch_resume`] when resumable
-    /// interruption matters more than sharding.
+    /// randomness), so cancellation here is round-granular.  Resumption
+    /// is not offered on this path — mid-round work cannot be replayed
+    /// draw-by-draw; use the sequential
+    /// [`BatchEstimator::estimate_with_bank`] when resumable interruption
+    /// matters more than sharding.
     ///
     /// Only available with the `parallel` feature (rayon).
     #[cfg(feature = "parallel")]
@@ -1039,184 +947,41 @@ impl<'a> BatchEstimator<'a> {
         round_samples: u64,
         budget: &RunBudget,
     ) -> Result<EstimateOutcome, CoreError> {
-        use crate::montecarlo::{estimate_stopping_batch_rounds_budgeted, DEFAULT_SHARD_SIZE};
-
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let budgeted = estimate_stopping_batch_rounds_budgeted(
-            master_seed,
-            &targets,
-            max_samples,
-            round_samples,
-            DEFAULT_SHARD_SIZE,
-            budget,
-            |live_queries| {
-                let live = BankLiveSet::restrict(&bank, live_queries);
-                let mut experiment =
-                    BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-                move |rng: &mut rand::rngs::StdRng, hits: &mut [bool]| {
-                    experiment.draw_live(rng, hits)
-                }
-            },
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
+        let bank = self.inner.compile(queries, budget)?;
+        self.inner
+            .drive_rounds(&bank, queries, params, master_seed, round_samples, budget)
     }
 
-    /// As [`BatchEstimator::estimate_batch`], with the shared samples
-    /// sharded across rayon worker threads exactly like
-    /// [`OcqaEstimator::estimate_parallel`]: same shard boundaries, same
-    /// per-shard RNG streams, integer success sums — so the result is
+    /// Estimates every query of the bank with the shared samples sharded
+    /// across rayon worker threads: same shard boundaries, same per-shard
+    /// RNG streams and integer success sums as
+    /// [`OcqaEstimator::estimate_parallel`], so the result is
     /// bit-identical for a fixed master seed regardless of thread count,
-    /// and bit-identical to `k` independent `estimate_parallel` runs.
+    /// and bit-identical to `k` independent `estimate_parallel` runs in
+    /// the fixed-sample modes.
     ///
-    /// [`EstimatorMode::OptimalStopping`] routes through the round-based
-    /// [`BatchEstimator::estimate_stopping_batch_rounds`] with
-    /// [`DEFAULT_ROUND_SAMPLES`] samples per round.
+    /// [`EstimatorMode::OptimalStopping`] runs the round-based stopping
+    /// rule ([`BatchEstimator::estimate_stopping_batch_rounds_with_budget`])
+    /// with [`DEFAULT_ROUND_SAMPLES`] samples per round.
     #[cfg(feature = "parallel")]
     pub fn estimate_batch_parallel(
         &self,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         master_seed: u64,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        use crate::montecarlo::{estimate_fixed_batch_parallel, DEFAULT_SHARD_SIZE};
-
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch_rounds(
-                queries,
-                params,
-                master_seed,
-                DEFAULT_ROUND_SAMPLES,
-            );
-        }
-        let samples = self.batch_sample_count(params)?;
+    ) -> Result<EstimateOutcome, CoreError> {
         let bank = self.compile_bank(queries)?;
-        let outcome = estimate_fixed_batch_parallel(
-            master_seed,
-            samples,
-            DEFAULT_SHARD_SIZE,
-            queries.len(),
-            || {
-                let mut experiment = BatchExperiment::new(&self.inner, &bank, queries);
-                move |rng: &mut rand::rngs::StdRng, successes: &mut [u64]| {
-                    experiment.draw(rng, successes)
-                }
-            },
-        );
-        Ok(Self::estimates_from(samples, &outcome.successes))
+        self.inner
+            .drive_parallel(&bank, queries, params, master_seed)
     }
 
     /// Compiles the bank's shared lineage ([`LineageBank::compile`]:
     /// grounded plan-ordered atom sequences factored into one scan trie,
     /// witnesses deduplicated into one arena), validating every candidate
-    /// arity.  All `estimate_*` batch paths call this internally; exposing
-    /// it lets callers compile once and estimate many times
-    /// ([`BatchEstimator::estimate_batch_with_bank`]).
+    /// arity — the compile half of the compile-once / estimate-many
+    /// pattern ([`BatchEstimator::estimate_with_bank`]).
     pub fn compile_bank(&self, queries: &[BatchQuery<'_>]) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile(self.inner.db, &refs)?)
-    }
-
-    /// As [`BatchEstimator::compile_bank`], under the compile-time part of
-    /// a [`RunBudget`] ([`RunBudget::with_max_compile_steps`] and the
-    /// cancel token).  An interrupted enumeration degrades the **whole
-    /// bank** to evaluator fallback — a partial witness set would
-    /// under-report entailment — so estimation proceeds correctly, just
-    /// without the word-level bitset fast path.  An unconstrained budget
-    /// compiles the identical bank as [`BatchEstimator::compile_bank`].
-    pub fn compile_bank_with_budget(
-        &self,
-        queries: &[BatchQuery<'_>],
-        budget: &RunBudget,
-    ) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile_with_budget(
-            self.inner.db,
-            &refs,
-            DEFAULT_WITNESS_CAP,
-            &budget.compile_budget(),
-        )?)
-    }
-
-    /// As [`BatchEstimator::compile_bank`], on the unplanned baseline
-    /// ([`LineageBank::compile_unplanned`]: one naive backtracking
-    /// enumeration per entry).  The resulting bank holds the same witness
-    /// sets, so estimates driven through it are bit-identical — only the
-    /// compile cost differs.  Kept for the `e17` bench and the
-    /// before/after property tests.
-    pub fn compile_bank_unplanned(
-        &self,
-        queries: &[BatchQuery<'_>],
-    ) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile_unplanned(self.inner.db, &refs)?)
-    }
-
-    /// Converts a budgeted stopping-batch outcome into the public
-    /// [`EstimateOutcome`], attaching each query's achieved `(ε′, δ/k)`
-    /// bound at its observed counts.
-    fn outcome_from(budgeted: BudgetedStoppingOutcome, per_query_delta: f64) -> EstimateOutcome {
-        let queries = budgeted
-            .outcomes
-            .iter()
-            .zip(&budgeted.statuses)
-            .map(|(o, &status)| QueryOutcome {
-                estimate: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                status,
-                achieved: AchievedBound::at(o.samples, o.successes, per_query_delta),
-            })
-            .collect();
-        EstimateOutcome {
-            queries,
-            total_draws: budgeted.total_samples,
-        }
-    }
-
-    /// Reconstructs the resumable montecarlo-layer outcome from a prior
-    /// public [`EstimateOutcome`].
-    fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
-        BudgetedStoppingOutcome {
-            outcomes: prior
-                .queries
-                .iter()
-                .map(|q| StoppingRuleOutcome {
-                    estimate: q.estimate,
-                    samples: q.samples,
-                    successes: q.successes,
-                    truncated: !q.status.is_converged(),
-                })
-                .collect(),
-            statuses: prior.queries.iter().map(|q| q.status).collect(),
-            total_samples: prior.total_draws,
-        }
-    }
-
-    fn estimates_from(samples: u64, successes: &[u64]) -> Vec<Estimate> {
-        successes
-            .iter()
-            .map(|&s| Estimate {
-                value: if samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / samples as f64
-                },
-                samples,
-                successes: s,
-                truncated: false,
-            })
-            .collect()
+        self.inner.compile(queries, &RunBudget::unlimited())
     }
 }
 
@@ -1227,11 +992,16 @@ impl<'a> BatchEstimator<'a> {
 #[cfg(feature = "parallel")]
 pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * crate::montecarlo::DEFAULT_SHARD_SIZE;
 
-/// One fully compiled *adaptive* batched Bernoulli experiment: draw a
+/// The per-draw Bernoulli experiment of every estimation loop: draw a
 /// repair into a reused buffer, write per-query hits for the **live**
 /// queries only, compacting the shared witness scan as queries retire
 /// (the [`BankLiveSet`] drops witnesses referenced only by retired
-/// queries).
+/// queries).  The fixed-sample loops run it with every query live.
+///
+/// Construction hoists everything out of the Monte-Carlo loop: the repair
+/// buffer, the walk scratch and the bank scratch; a draw performs no heap
+/// allocation on any sampler path (the buffers reach steady-state
+/// capacity after the first few draws).
 struct BatchStoppingExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
@@ -1287,6 +1057,18 @@ impl<'e, 'a> BatchStoppingExperiment<'e, 'a> {
             }
         }
     }
+
+    /// Draws one shared repair and adds one to `successes[q]` for every
+    /// query it entails — the per-draw step of the fixed-sample loops
+    /// (every query live; `hits` is caller-held scratch).
+    fn count<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool], successes: &mut [u64]) {
+        self.draw_live(rng, hits);
+        for (success, &hit) in successes.iter_mut().zip(hits.iter()) {
+            if hit {
+                *success += 1;
+            }
+        }
+    }
 }
 
 impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BatchStoppingExperiment<'_, '_> {
@@ -1296,123 +1078,6 @@ impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BatchStoppingExperiment<'_,
 
     fn retire(&mut self, query: usize) {
         self.live.retire(self.bank, query);
-    }
-}
-
-/// One fully compiled *batched* Bernoulli experiment: draw a repair into a
-/// reused buffer, update every per-query hit counter against the shared
-/// lineage bank in one word-level pass.
-struct BatchExperiment<'e, 'a> {
-    estimator: &'e OcqaEstimator<'a>,
-    bank: &'e LineageBank,
-    queries: &'e [BatchQuery<'e>],
-    repair: FactSet,
-    scratch: WalkScratch,
-    bank_scratch: BankScratch,
-    hits: Vec<bool>,
-}
-
-impl<'e, 'a> BatchExperiment<'e, 'a> {
-    fn new(
-        estimator: &'e OcqaEstimator<'a>,
-        bank: &'e LineageBank,
-        queries: &'e [BatchQuery<'e>],
-    ) -> Self {
-        BatchExperiment {
-            estimator,
-            bank,
-            queries,
-            repair: FactSet::empty(estimator.db.len()),
-            scratch: WalkScratch::new(),
-            bank_scratch: BankScratch::new(),
-            hits: vec![false; queries.len()],
-        }
-    }
-
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, successes: &mut [u64]) {
-        self.estimator
-            .sampler
-            .sample_repair_into(rng, &mut self.repair, &mut self.scratch);
-        self.bank
-            .evaluate_into(&self.repair, &mut self.bank_scratch, &mut self.hits);
-        for (index, query) in self.queries.iter().enumerate() {
-            let hit = if self.bank.is_fallback(index) {
-                query
-                    .evaluator
-                    .has_answer(self.estimator.db, &self.repair, query.candidate)
-                    .expect("candidate arity was validated during bank compilation")
-            } else {
-                debug_assert_eq!(
-                    self.hits[index],
-                    query
-                        .evaluator
-                        .has_answer(self.estimator.db, &self.repair, query.candidate)
-                        .expect("candidate arity was validated during bank compilation"),
-                    "lineage bank disagrees with the backtracking evaluator on query {index}"
-                );
-                self.hits[index]
-            };
-            if hit {
-                successes[index] += 1;
-            }
-        }
-    }
-}
-
-/// One fully compiled Bernoulli experiment: draw a repair into a reused
-/// buffer, check entailment against the compiled lineage.
-///
-/// Construction hoists everything out of the Monte-Carlo loop: the
-/// operations walker, the repair buffer, and the walk scratch.  `draw`
-/// performs no heap allocation on any sampler path (the buffers reach
-/// steady-state capacity after the first few draws).
-struct SampleExperiment<'e, 'a> {
-    estimator: &'e OcqaEstimator<'a>,
-    lineage: Option<&'e CompiledLineage>,
-    evaluator: &'e QueryEvaluator,
-    candidate: &'e [Value],
-    repair: FactSet,
-    scratch: WalkScratch,
-}
-
-impl<'e, 'a> SampleExperiment<'e, 'a> {
-    fn new(
-        estimator: &'e OcqaEstimator<'a>,
-        lineage: Option<&'e CompiledLineage>,
-        evaluator: &'e QueryEvaluator,
-        candidate: &'e [Value],
-    ) -> Self {
-        SampleExperiment {
-            estimator,
-            lineage,
-            evaluator,
-            candidate,
-            repair: FactSet::empty(estimator.db.len()),
-            scratch: WalkScratch::new(),
-        }
-    }
-
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.estimator
-            .sampler
-            .sample_repair_into(rng, &mut self.repair, &mut self.scratch);
-        match self.lineage {
-            Some(lineage) => {
-                let entailed = lineage.entails(&self.repair);
-                debug_assert_eq!(
-                    entailed,
-                    self.evaluator
-                        .has_answer(self.estimator.db, &self.repair, self.candidate)
-                        .expect("candidate arity was validated before sampling"),
-                    "compiled lineage disagrees with the backtracking evaluator"
-                );
-                entailed
-            }
-            None => self
-                .evaluator
-                .has_answer(self.estimator.db, &self.repair, self.candidate)
-                .expect("candidate arity was validated before sampling"),
-        }
     }
 }
 
@@ -1472,6 +1137,382 @@ mod tests {
         ]
     }
 
+    fn stopping(epsilon: f64, delta: f64, max_samples: u64) -> ApproximationParams {
+        ApproximationParams::new(epsilon, delta)
+            .unwrap()
+            .with_mode(EstimatorMode::OptimalStopping { max_samples })
+    }
+
+    fn fixed(epsilon: f64, delta: f64, samples: u64) -> ApproximationParams {
+        ApproximationParams::new(epsilon, delta)
+            .unwrap()
+            .with_mode(EstimatorMode::FixedSamples(samples))
+    }
+
+    /// A single-query run with an unconstrained budget.
+    fn single(
+        estimator: &OcqaEstimator<'_>,
+        evaluator: &QueryEvaluator,
+        candidate: &[Value],
+        params: ApproximationParams,
+        seed: u64,
+    ) -> QueryOutcome {
+        let outcome = estimator
+            .estimate_with_budget(
+                evaluator,
+                candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .unwrap();
+        assert_eq!(outcome.queries.len(), 1);
+        assert_eq!(outcome.total_draws, outcome.queries[0].samples);
+        outcome.queries[0]
+    }
+
+    /// A whole-bank run with an unconstrained budget.
+    fn batch_run(
+        batch: &BatchEstimator<'_>,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        seed: u64,
+    ) -> EstimateOutcome {
+        batch
+            .estimate_batch_with_budget(
+                queries,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .unwrap()
+    }
+
+    /// The fields a golden value pins: `(estimate bits, samples,
+    /// successes, status)`.
+    fn pin(q: &QueryOutcome) -> (u64, u64, u64, BudgetStatus) {
+        (q.estimate.to_bits(), q.samples, q.successes, q.status)
+    }
+
+    /// Whether `rng` is still at the state `StdRng::seed_from_u64(seed)`
+    /// starts in (i.e. nothing was drawn from it).
+    fn untouched(rng: &mut StdRng, seed: u64) -> bool {
+        rng.random::<u64>() == StdRng::seed_from_u64(seed).random::<u64>()
+    }
+
+    const C: BudgetStatus = BudgetStatus::Converged;
+    const X: BudgetStatus = BudgetStatus::BudgetExhausted;
+
+    #[test]
+    fn golden_single_query_estimates_of_the_deleted_plain_path() {
+        // Same-seed outputs of the former unbudgeted single-query
+        // `OcqaEstimator::estimate` (seed 12), pinned before it was
+        // deleted: a bank of one through the driver must reproduce them.
+        let params = [stopping(0.25, 0.2, 200_000), fixed(0.25, 0.2, 2_000)];
+        let figure2_golden: [[(u64, u64, u64); 2]; 6] = [
+            [
+                (0x3fcff0beb0632885, 537, 134),
+                (0x3fcfbe76c8b43958, 2000, 496),
+            ],
+            [
+                (0x3fd4b708a83177f6, 414, 134),
+                (0x3fd5d2f1a9fbe76d, 2000, 682),
+            ],
+            [
+                (0x3fd03e0f83e0f83e, 528, 134),
+                (0x3fcf3b645a1cac08, 2000, 488),
+            ],
+            [
+                (0x3fd4f7dcf2db1227, 409, 134),
+                (0x3fd578d4fdf3b646, 2000, 671),
+            ],
+            [
+                (0x3fd29011bb4a4047, 462, 134),
+                (0x3fd15810624dd2f2, 2000, 542),
+            ],
+            [
+                (0x3fd8a4c8178a4c81, 348, 134),
+                (0x3fd5b22d0e560419, 2000, 678),
+            ],
+        ];
+        // Repairs and sequences are unsupported over non-primary keys.
+        let two_key_golden: [Option<[(u64, u64, u64); 2]>; 6] = [
+            None,
+            None,
+            None,
+            None,
+            Some([
+                (0x3fcbc1091cff2be9, 618, 134),
+                (0x3fccac083126e979, 2000, 448),
+            ]),
+            Some([
+                (0x3fd71dabd11402c3, 371, 134),
+                (0x3fd62d0e56041893, 2000, 693),
+            ]),
+        ];
+        for (name, (db, sigma), text, candidate, golden) in [
+            (
+                "figure2",
+                figure2(),
+                "Ans(x) :- R('a1', x)",
+                Value::str("b1"),
+                figure2_golden.map(Some),
+            ),
+            (
+                "two-key",
+                two_key_database(),
+                "Ans(x) :- R(1, x)",
+                Value::int(1),
+                two_key_golden,
+            ),
+        ] {
+            let evaluator = QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
+            for (spec, golden) in all_specs().into_iter().zip(golden) {
+                let Some(golden) = golden else {
+                    assert!(matches!(
+                        OcqaEstimator::new(&db, &sigma, spec),
+                        Err(CoreError::Unsupported { .. })
+                    ));
+                    continue;
+                };
+                let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+                for (params, (bits, samples, successes)) in params.into_iter().zip(golden) {
+                    let got = single(
+                        &estimator,
+                        &evaluator,
+                        std::slice::from_ref(&candidate),
+                        params,
+                        12,
+                    );
+                    assert_eq!(
+                        pin(&got),
+                        (bits, samples, successes, C),
+                        "{name}, spec {}, mode {:?}",
+                        spec.short_name(),
+                        params.mode
+                    );
+                }
+            }
+        }
+        // The lower-bound-derived fixed count (a bank of one).
+        let (db, sigma) = figure2();
+        let evaluator =
+            QueryEvaluator::new(parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap());
+        let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let from_bound = ApproximationParams::new(0.3, 0.2)
+            .unwrap()
+            .with_mode(EstimatorMode::FixedFromLowerBound);
+        let got = single(&estimator, &evaluator, &[Value::str("b1")], from_bound, 12);
+        assert_eq!(pin(&got), (0x3fd0970ba95ef573, 922, 239, C));
+    }
+
+    /// The two-query bank of
+    /// `batched_stopping_is_bit_identical_to_per_query_stopping_runs`.
+    fn lookup_and_member(db: &Database) -> (QueryEvaluator, QueryEvaluator) {
+        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
+        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
+        (QueryEvaluator::new(lookup), QueryEvaluator::new(member))
+    }
+
+    #[test]
+    fn golden_batch_estimates_of_the_deleted_plain_paths() {
+        // Same-seed outputs of the former `estimate_batch` (fixed mode)
+        // and `estimate_stopping_batch` (seed 17), one row per spec.
+        let golden: [[[(u64, u64, u64); 2]; 2]; 6] = [
+            [
+                [
+                    (0x3fcfef9db22d0e56, 2000, 499),
+                    (0x3fd47ae147ae147b, 2000, 640),
+                ],
+                [
+                    (0x3fd0a54f35f4852a, 669, 174),
+                    (0x3fd4da9b536a6d4e, 534, 174),
+                ],
+            ],
+            [
+                [
+                    (0x3fd5a9fbe76c8b44, 2000, 677),
+                    (0x3fdfef9db22d0e56, 2000, 998),
+                ],
+                [
+                    (0x3fd5cae572b95cae, 511, 174),
+                    (0x3fe0ec8c0f8ff38d, 329, 174),
+                ],
+            ],
+            [
+                [
+                    (0x3fcd70a3d70a3d71, 2000, 460),
+                    (0x3fd56872b020c49c, 2000, 669),
+                ],
+                [
+                    (0x3fcd75d75d75d75d, 756, 174),
+                    (0x3fd4f8c4b35839da, 531, 174),
+                ],
+            ],
+            [
+                [
+                    (0x3fd4ed916872b021, 2000, 654),
+                    (0x3fdf2b020c49ba5e, 2000, 974),
+                ],
+                [
+                    (0x3fd6c5e3bae54cf5, 489, 174),
+                    (0x3fdead7cd391fbc5, 363, 174),
+                ],
+            ],
+            [
+                [
+                    (0x3fd1810624dd2f1b, 2000, 547),
+                    (0x3fd589374bc6a7f0, 2000, 673),
+                ],
+                [
+                    (0x3fd100640e11fa87, 655, 174),
+                    (0x3fd602061236a3ec, 506, 174),
+                ],
+            ],
+            [
+                [
+                    (0x3fd56872b020c49c, 2000, 669),
+                    (0x3fded0e560418937, 2000, 963),
+                ],
+                [
+                    (0x3fd6c5e3bae54cf5, 489, 174),
+                    (0x3fdc55fc17734c37, 393, 174),
+                ],
+            ],
+        ];
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let params = [fixed(0.25, 0.2, 2_000), stopping(0.25, 0.2, 200_000)];
+        for (spec, golden) in all_specs().into_iter().zip(golden) {
+            let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            for (params, golden) in params.into_iter().zip(golden) {
+                let outcome = batch_run(&batch, &queries, params, 17);
+                let got: Vec<_> = outcome.queries.iter().map(pin).collect();
+                let want: Vec<_> = golden.iter().map(|&(b, n, s)| (b, n, s, C)).collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "spec {}, mode {:?}",
+                    spec.short_name(),
+                    params.mode
+                );
+                let longest = outcome.queries.iter().map(|q| q.samples).max();
+                assert_eq!(Some(outcome.total_draws), longest);
+            }
+        }
+    }
+
+    #[test]
+    fn golden_resume_after_a_draw_cap_of_the_deleted_recompiling_resume() {
+        // Same-seed outputs of the former `estimate_stopping_batch_resume`
+        // (seed 41) after a `with_max_draws(cut)` interruption: every cut
+        // resumes to the same uninterrupted stream.
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let params = stopping(0.25, 0.2, 200_000);
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let bank = batch.compile_bank(&queries).unwrap();
+        let partials = [
+            (
+                1,
+                [(0x3ff0000000000000, 1, 1, X), (0x3ff0000000000000, 1, 1, X)],
+            ),
+            (
+                40,
+                [
+                    (0x3fd4cccccccccccd, 40, 13, X),
+                    (0x3fdccccccccccccd, 40, 18, X),
+                ],
+            ),
+            (
+                300,
+                [
+                    (0x3fd1eb851eb851ec, 300, 84, X),
+                    (0x3fd740da740da741, 300, 109, X),
+                ],
+            ),
+        ];
+        let resumed_golden = [
+            (0x3fd1519e0f210b8c, 643, 174, C),
+            (0x3fd645a1cac08312, 500, 174, C),
+        ];
+        for (cut, golden) in partials {
+            let mut rng = StdRng::seed_from_u64(41);
+            let partial = batch
+                .estimate_with_bank(
+                    &bank,
+                    &queries,
+                    params,
+                    &RunBudget::unlimited().with_max_draws(cut),
+                    None,
+                    &mut rng,
+                )
+                .unwrap();
+            assert_eq!(partial.total_draws, cut);
+            assert_eq!(partial.queries.iter().map(pin).collect::<Vec<_>>(), golden);
+            let resumed = batch
+                .estimate_with_bank(
+                    &bank,
+                    &queries,
+                    params,
+                    &RunBudget::unlimited(),
+                    Some(&partial),
+                    &mut rng,
+                )
+                .unwrap();
+            assert_eq!(resumed.total_draws, 643, "cut {cut}");
+            assert_eq!(
+                resumed.queries.iter().map(pin).collect::<Vec<_>>(),
+                resumed_golden,
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn golden_parallel_estimates_of_the_deleted_estimate_types() {
+        // Same-seed outputs of the former `Estimate`-returning
+        // `estimate_parallel` (seed 7) and `estimate_batch_parallel`
+        // (fixed at seed 7, round-based stopping at seed 23).
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let fixed_golden = [
+            (0x3fd1e69ad42c3c9f, 10_000, 2797, C),
+            (0x3fd56d5cfaacd9e8, 10_000, 3348, C),
+        ];
+        let params = fixed(0.1, 0.1, 10_000);
+        for (query, golden) in queries.iter().zip(fixed_golden) {
+            let single = batch
+                .estimator()
+                .estimate_parallel(query.evaluator, query.candidate, params, 7)
+                .unwrap();
+            assert_eq!(pin(&single.queries[0]), golden);
+        }
+        let batched = batch.estimate_batch_parallel(&queries, params, 7).unwrap();
+        assert_eq!(
+            batched.queries.iter().map(pin).collect::<Vec<_>>(),
+            fixed_golden
+        );
+        let rounds = batch
+            .estimate_batch_parallel(&queries, stopping(0.2, 0.1, 1_000_000), 23)
+            .unwrap();
+        assert_eq!(
+            rounds.queries.iter().map(pin).collect::<Vec<_>>(),
+            [
+                (0x3fd1ab0000000000, 16_384, 4523, C),
+                (0x3fd5730000000000, 16_384, 5491, C),
+            ]
+        );
+    }
+
     #[test]
     fn estimates_match_exact_probabilities_on_primary_keys() {
         let (db, sigma) = figure2();
@@ -1480,23 +1521,26 @@ mod tests {
         let candidate = [Value::str("b1")];
         let solver = ExactSolver::new(&db, &sigma);
         let params = ApproximationParams::new(0.05, 0.05).unwrap();
-        let mut rng = StdRng::seed_from_u64(2024);
-        for spec in all_specs() {
+        for (seed, spec) in all_specs().into_iter().enumerate() {
             let exact = solver
                 .answer_probability(spec, &evaluator, &candidate)
                 .unwrap()
                 .to_f64();
             let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-            let estimate = estimator
-                .estimate(&evaluator, &candidate, params, &mut rng)
-                .unwrap();
-            assert!(!estimate.truncated, "spec {}", spec.short_name());
-            let relative_error = (estimate.value - exact).abs() / exact;
+            let estimate = single(
+                &estimator,
+                &evaluator,
+                &candidate,
+                params,
+                2024 + seed as u64,
+            );
+            assert_eq!(estimate.status, C, "spec {}", spec.short_name());
+            let relative_error = (estimate.estimate - exact).abs() / exact;
             assert!(
                 relative_error < 0.1,
                 "spec {}: exact {exact}, estimate {} (relative error {relative_error})",
                 spec.short_name(),
-                estimate.value
+                estimate.estimate
             );
         }
     }
@@ -1515,15 +1559,12 @@ mod tests {
         let estimator =
             OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
         let params = ApproximationParams::new(0.05, 0.05).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
-            .unwrap();
-        let relative_error = (estimate.value - exact).abs() / exact;
+        let estimate = single(&estimator, &evaluator, &[], params, 7);
+        let relative_error = (estimate.estimate - exact).abs() / exact;
         assert!(
             relative_error < 0.1,
             "exact {exact}, got {}",
-            estimate.value
+            estimate.estimate
         );
     }
 
@@ -1578,14 +1619,16 @@ mod tests {
         let params = ApproximationParams::new(0.1, 0.1).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(
-            estimator.estimate(
+            estimator.estimate_with_budget(
                 &evaluator,
                 &[Value::int(1), Value::int(2)],
                 params,
+                &RunBudget::unlimited(),
                 &mut rng
             ),
             Err(CoreError::Query(_))
         ));
+        assert!(untouched(&mut rng, 0));
     }
 
     #[test]
@@ -1595,40 +1638,40 @@ mod tests {
         let evaluator = QueryEvaluator::new(q);
         let candidate = [Value::str("b1")];
         let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
 
         let additive = ApproximationParams::new(0.05, 0.05)
             .unwrap()
             .with_mode(EstimatorMode::FixedAdditive);
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, additive, &mut rng)
-            .unwrap();
-        assert!((estimate.value - 0.25).abs() < 0.05);
+        let estimate = single(&estimator, &evaluator, &candidate, additive, 1);
+        assert!((estimate.estimate - 0.25).abs() < 0.05);
+        assert_eq!(
+            estimate.samples,
+            bounds::samples_for_additive_error(0.05, 0.05)
+        );
 
-        let explicit = ApproximationParams::new(0.05, 0.05)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(500));
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, explicit, &mut rng)
-            .unwrap();
+        let estimate = single(
+            &estimator,
+            &evaluator,
+            &candidate,
+            fixed(0.05, 0.05, 500),
+            2,
+        );
         assert_eq!(estimate.samples, 500);
+        assert_eq!(estimate.status, C);
 
         let from_bound = ApproximationParams::new(0.3, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedFromLowerBound);
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, from_bound, &mut rng)
-            .unwrap();
-        assert!((estimate.value - 0.25).abs() < 0.25 * 0.3 + 0.02);
+        let estimate = single(&estimator, &evaluator, &candidate, from_bound, 3);
+        assert!((estimate.estimate - 0.25).abs() < 0.25 * 0.3 + 0.02);
     }
 
     #[test]
     fn batched_estimates_are_bit_identical_to_single_query_runs() {
+        // A bank of k is k banks of one: under a shared seed every entry
+        // of a fixed-sample batch equals the single-query run.
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let never = parse_query(db.schema(), "Ans() :- R('zz', 'zz')").unwrap();
         let never = QueryEvaluator::new(never);
         let b1 = [Value::str("b1")];
@@ -1637,86 +1680,77 @@ mod tests {
             BatchQuery::new(&member, &[]),
             BatchQuery::new(&never, &[]),
         ];
-        let params = ApproximationParams::new(0.1, 0.1)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(2_000));
+        let params = fixed(0.1, 0.1, 2_000);
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let batched = batch.estimate_batch(&queries, params, &mut StdRng::seed_from_u64(99));
-            let batched = batched.unwrap();
-            assert_eq!(batched.len(), queries.len());
+            let batched = batch_run(&batch, &queries, params, 99);
+            assert_eq!(batched.queries.len(), queries.len());
+            assert_eq!(batched.total_draws, 2_000);
             for (i, query) in queries.iter().enumerate() {
-                let single = batch
-                    .estimator()
-                    .estimate(
-                        query.evaluator,
-                        query.candidate,
-                        params,
-                        &mut StdRng::seed_from_u64(99),
-                    )
-                    .unwrap();
-                assert_eq!(batched[i], single, "spec {}, query {i}", spec.short_name());
+                let single = single(
+                    batch.estimator(),
+                    query.evaluator,
+                    query.candidate,
+                    params,
+                    99,
+                );
+                assert_eq!(
+                    batched.queries[i],
+                    single,
+                    "spec {}, query {i}",
+                    spec.short_name()
+                );
             }
             // The impossible query is estimated at exactly zero.
-            assert_eq!(batched[2].successes, 0, "spec {}", spec.short_name());
+            assert_eq!(
+                batched.queries[2].successes,
+                0,
+                "spec {}",
+                spec.short_name()
+            );
         }
     }
 
     #[test]
     fn batched_stopping_is_bit_identical_to_per_query_stopping_runs() {
         // The sequential adaptive batch draws one shared repair stream;
-        // query i's outcome must equal a standalone stopping-rule run
-        // with the same per-query target Υ(ε, δ/k) from the same seed —
-        // the per-query checks consume no randomness, so each query
-        // observes exactly the stream prefix its standalone run would
-        // draw.
+        // query i's outcome must equal a bank of one with the same
+        // per-query target Υ(ε, δ/k) — i.e. a single-query run at δ/k —
+        // from the same seed: the per-query checks consume no randomness,
+        // so each query observes exactly the stream prefix its standalone
+        // run would draw.
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
+        let params = stopping(0.25, 0.2, 200_000);
+        let per_query = stopping(0.25, 0.2 / queries.len() as f64, 200_000);
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            // `estimate_batch` routes OptimalStopping to the batched
-            // stopping rule.
-            let via_batch = batch
-                .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(17))
-                .unwrap();
+            // `estimate_batch_with_budget` routes OptimalStopping to the
+            // batched stopping rule, exactly as the stopping entry point.
+            let via_batch = batch_run(&batch, &queries, params, 17);
             let direct = batch
-                .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(17))
+                .estimate_stopping_batch_with_budget(
+                    &queries,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(17),
+                )
                 .unwrap();
             assert_eq!(via_batch, direct, "spec {}", spec.short_name());
-            // Per-query: a standalone DKLR run with target Υ(ε, δ/2).
-            let rule = StoppingRuleEstimator::new(0.25, 0.2 / queries.len() as f64)
-                .with_max_samples(200_000);
             for (i, query) in queries.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(17);
-                let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-                let lineage =
-                    CompiledLineage::compile(query.evaluator, &db, query.candidate).unwrap();
-                let mut sample = SampleExperiment::new(
-                    &estimator,
-                    lineage.as_ref(),
+                let standalone = single(
+                    batch.estimator(),
                     query.evaluator,
                     query.candidate,
+                    per_query,
+                    17,
                 );
-                let standalone = rule.estimate(&mut rng, |rng| sample.draw(rng));
-                assert!(!standalone.truncated);
+                assert_eq!(standalone.status, C);
                 assert_eq!(
-                    direct[i],
-                    Estimate {
-                        value: standalone.estimate,
-                        samples: standalone.samples,
-                        successes: standalone.successes,
-                        truncated: false,
-                    },
+                    direct.queries[i],
+                    standalone,
                     "spec {}, query {i}",
                     spec.short_name()
                 );
@@ -1733,23 +1767,19 @@ mod tests {
         let never = QueryEvaluator::new(never);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&never, &[])];
-        let params = ApproximationParams::new(0.2, 0.1)
-            .unwrap()
-            .with_mode(EstimatorMode::OptimalStopping { max_samples: 5_000 });
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let estimates = batch
-            .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(8))
-            .unwrap();
-        assert!(!estimates[0].truncated);
+        let outcome = batch_run(&batch, &queries, stopping(0.2, 0.1, 5_000), 8);
+        let estimates = &outcome.queries;
+        assert_eq!(estimates[0].status, C);
         assert!(
             estimates[0].samples < 5_000,
             "the feasible query retires before the cut-off"
         );
-        assert!((estimates[0].value - 0.25).abs() < 0.25 * 0.3);
-        assert!(estimates[1].truncated);
+        assert!((estimates[0].estimate - 0.25).abs() < 0.25 * 0.3);
+        assert_eq!(estimates[1].status, X);
         assert_eq!(estimates[1].samples, 5_000);
         assert_eq!(estimates[1].successes, 0);
-        assert_eq!(estimates[1].value, 0.0);
+        assert_eq!(estimates[1].estimate, 0.0);
     }
 
     #[cfg(feature = "parallel")]
@@ -1757,38 +1787,37 @@ mod tests {
     fn round_based_stopping_matches_guarantee_and_thread_counts() {
         let (db, sigma) = figure2();
         let solver = ExactSolver::new(&db, &sigma);
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params = ApproximationParams::new(0.1, 0.05).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 10_000_000,
-            },
-        );
+        let params = stopping(0.1, 0.05, 10_000_000);
         let spec = GeneratorSpec::uniform_operations();
         let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
         // `estimate_batch_parallel` routes OptimalStopping to the
         // round-based stopping rule with the default round size.
         let baseline = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
         let direct = batch
-            .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
+            .estimate_stopping_batch_rounds_with_budget(
+                &queries,
+                params,
+                23,
+                DEFAULT_ROUND_SAMPLES,
+                &RunBudget::unlimited(),
+            )
             .unwrap();
         assert_eq!(baseline, direct);
         for (i, query) in queries.iter().enumerate() {
-            let estimate = baseline[i];
-            assert!(!estimate.truncated, "query {i}");
+            let estimate = baseline.queries[i];
+            assert_eq!(estimate.status, C, "query {i}");
             let exact = solver
                 .answer_probability(spec, query.evaluator, query.candidate)
                 .unwrap()
                 .to_f64();
-            let relative_error = (estimate.value - exact).abs() / exact;
+            let relative_error = (estimate.estimate - exact).abs() / exact;
             assert!(
                 relative_error < 0.15,
                 "query {i}: exact {exact}, estimate {} (relative error {relative_error})",
-                estimate.value
+                estimate.estimate
             );
         }
         // Bit-identical across thread counts.
@@ -1808,15 +1837,10 @@ mod tests {
     #[test]
     fn parallel_batched_estimates_match_independent_parallel_runs() {
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params = ApproximationParams::new(0.1, 0.1)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(10_000));
+        let params = fixed(0.1, 0.1, 10_000);
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
         let batched = batch.estimate_batch_parallel(&queries, params, 7).unwrap();
         for (i, query) in queries.iter().enumerate() {
@@ -1824,7 +1848,7 @@ mod tests {
                 .estimator()
                 .estimate_parallel(query.evaluator, query.candidate, params, 7)
                 .unwrap();
-            assert_eq!(batched[i], single, "query {i}");
+            assert_eq!(batched.queries[i], single.queries[0], "query {i}");
         }
     }
 
@@ -1845,16 +1869,16 @@ mod tests {
         let q1 = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(1, 1)").unwrap());
         let q2 = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(x, x)").unwrap());
         let queries = [BatchQuery::new(&q1, &[]), BatchQuery::new(&q2, &[])];
-        let params = ApproximationParams::new(0.1, 0.1)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(500));
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let estimates = batch
-                .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(3))
-                .unwrap();
-            for (i, estimate) in estimates.iter().enumerate() {
-                assert_eq!(estimate.value, 1.0, "spec {}, query {i}", spec.short_name());
+            let estimates = batch_run(&batch, &queries, fixed(0.1, 0.1, 500), 3);
+            for (i, estimate) in estimates.queries.iter().enumerate() {
+                assert_eq!(
+                    estimate.estimate,
+                    1.0,
+                    "spec {}, query {i}",
+                    spec.short_name()
+                );
                 assert_eq!(estimate.successes, 500);
             }
         }
@@ -1867,129 +1891,241 @@ mod tests {
         let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let evaluator = QueryEvaluator::new(q);
         let b1 = [Value::str("b1")];
-        let queries = [BatchQuery::new(&evaluator, &b1)];
+        let b2 = [Value::str("b2")];
+        let two = [
+            BatchQuery::new(&evaluator, &b1),
+            BatchQuery::new(&evaluator, &b2),
+        ];
+        let unlimited = RunBudget::unlimited();
         let mut rng = StdRng::seed_from_u64(0);
-        // The per-query lower-bound mode cannot share one loop; the
-        // adaptive stopping mode can (it routes through the batched
-        // stopping rule) but requires `estimate_stopping_batch` modes to
-        // match.
+        // The per-query lower-bound mode cannot share one loop across a
+        // bank of two (a bank of one is accepted, see
+        // `fixed_from_lower_bound_is_accepted_exactly_for_a_bank_of_one`).
         let params = ApproximationParams::new(0.2, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedFromLowerBound);
         assert!(matches!(
-            batch.estimate_batch(&queries, params, &mut rng),
+            batch.estimate_batch_with_budget(&two, params, &unlimited, &mut rng),
             Err(CoreError::InvalidParameters { .. })
         ));
-        let fixed = ApproximationParams::new(0.2, 0.2)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(10));
+        // The stopping entry point requires the stopping mode.
+        let fixed = fixed(0.2, 0.2, 10);
         assert!(matches!(
-            batch.estimate_stopping_batch(&queries, fixed, &mut rng),
+            batch.estimate_stopping_batch_with_budget(&two, fixed, &unlimited, &mut rng),
             Err(CoreError::InvalidParameters { .. })
         ));
+        assert!(untouched(&mut rng, 0));
         // A wrong candidate arity anywhere in the bank aborts before
         // sampling.
-        let bad = [BatchQuery::new(&evaluator, &[])];
-        let params = ApproximationParams::new(0.2, 0.2)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(10));
+        let bad = [
+            BatchQuery::new(&evaluator, &b1),
+            BatchQuery::new(&evaluator, &[]),
+        ];
         assert!(matches!(
-            batch.estimate_batch(&bad, params, &mut rng),
+            batch.estimate_batch_with_budget(&bad, fixed, &unlimited, &mut rng),
             Err(CoreError::Query(_))
         ));
         // An empty bank is a no-op, not an error.
-        let empty = batch.estimate_batch(&[], params, &mut rng).unwrap();
-        assert!(empty.is_empty());
+        let empty = batch
+            .estimate_batch_with_budget(&[], fixed, &unlimited, &mut rng)
+            .unwrap();
+        assert!(empty.queries.is_empty());
+    }
+
+    #[test]
+    fn fixed_from_lower_bound_is_accepted_exactly_for_a_bank_of_one() {
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let from_bound = ApproximationParams::new(0.3, 0.2)
+            .unwrap()
+            .with_mode(EstimatorMode::FixedFromLowerBound);
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let one = [BatchQuery::new(&lookup, &b1)];
+        let single = single(batch.estimator(), &lookup, &b1, from_bound, 5);
+        let banked = batch_run(&batch, &one, from_bound, 5);
+        assert_eq!(banked.queries, vec![single]);
+        let two = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(matches!(
+            batch.estimate_batch_with_budget(&two, from_bound, &RunBudget::unlimited(), &mut rng),
+            Err(CoreError::InvalidParameters { .. })
+        ));
+        assert!(untouched(&mut rng, 5));
+    }
+
+    #[test]
+    fn the_driver_rejects_a_bank_or_prior_of_the_wrong_length_before_any_draw() {
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let params = stopping(0.25, 0.2, 200_000);
+        let unlimited = RunBudget::unlimited();
+        let one_entry = batch.compile_bank(&queries[..1]).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(matches!(
+            batch.estimate_with_bank(&one_entry, &queries, params, &unlimited, None, &mut rng),
+            Err(CoreError::InvalidParameters { .. })
+        ));
+        let bank = batch.compile_bank(&queries).unwrap();
+        let prior = batch
+            .estimate_with_bank(
+                &one_entry,
+                &queries[..1],
+                params,
+                &unlimited,
+                None,
+                &mut rng,
+            )
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(matches!(
+            batch.estimate_with_bank(&bank, &queries, params, &unlimited, Some(&prior), &mut rng),
+            Err(CoreError::InvalidParameters { .. })
+        ));
+        assert!(untouched(&mut rng, 3));
+    }
+
+    #[test]
+    fn the_driver_rejects_a_stale_bank_before_any_draw() {
+        let (db, sigma) = figure2();
+        let (lookup, _) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1)];
+        // A bank compiled against a larger database than the estimator's.
+        let mut grown = db.clone();
+        grown
+            .insert_values("R", [Value::str("a4"), Value::str("b4")])
+            .unwrap();
+        let stale = LineageBank::compile(&grown, &[(&lookup, &b1[..])]).unwrap();
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(matches!(
+            batch.estimate_with_bank(
+                &stale,
+                &queries,
+                stopping(0.25, 0.2, 200_000),
+                &RunBudget::unlimited(),
+                None,
+                &mut rng
+            ),
+            Err(CoreError::InvalidParameters { .. })
+        ));
+        assert!(untouched(&mut rng, 4));
+    }
+
+    #[test]
+    fn the_driver_rejects_a_prior_in_a_fixed_sample_mode_before_any_draw() {
+        let (db, sigma) = figure2();
+        let (lookup, member) = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let bank = batch.compile_bank(&queries).unwrap();
+        let budget = RunBudget::unlimited().with_max_draws(10);
+        let prior = batch
+            .estimate_with_bank(
+                &bank,
+                &queries,
+                stopping(0.25, 0.2, 200_000),
+                &budget,
+                None,
+                &mut StdRng::seed_from_u64(6),
+            )
+            .unwrap();
+        assert!(!prior.converged());
+        let mut rng = StdRng::seed_from_u64(6);
+        for mode in [
+            EstimatorMode::FixedSamples(100),
+            EstimatorMode::FixedAdditive,
+        ] {
+            let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(mode);
+            assert!(matches!(
+                batch.estimate_with_bank(
+                    &bank,
+                    &queries,
+                    params,
+                    &RunBudget::unlimited(),
+                    Some(&prior),
+                    &mut rng
+                ),
+                Err(CoreError::InvalidParameters { .. })
+            ));
+        }
+        assert!(untouched(&mut rng, 6));
+    }
+
+    /// A budget whose every limit is set but never reached.
+    fn non_binding_budget() -> RunBudget {
+        RunBudget::unlimited()
+            .with_max_draws(u64::MAX)
+            .with_max_compile_steps(u64::MAX)
+            .with_cancel_token(CancelToken::new())
     }
 
     #[test]
     fn unlimited_budget_estimates_are_bit_identical_across_all_specs() {
-        // The acceptance criterion of the budget subsystem: with an
-        // unconstrained `RunBudget`, every estimator entry point draws the
-        // same sample stream and reports the same counts as the pre-budget
-        // path, for every generator spec.
+        // The acceptance criterion of the budget subsystem: budget checks
+        // consume no randomness, so a budget with every limit set but
+        // never reached draws the same stream and reports the same outcome
+        // as an unlimited one (whose outputs the golden tests pin), for
+        // every generator spec.
         let (db, sigma) = figure2();
         let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let evaluator = QueryEvaluator::new(q);
         let candidate = [Value::str("b1")];
-        let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
-        let budget = RunBudget::unlimited();
+        let params = stopping(0.25, 0.2, 200_000);
         for spec in all_specs() {
             let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-            let plain = estimator
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(11),
-                )
-                .unwrap();
+            let unlimited = single(&estimator, &evaluator, &candidate, params, 11);
             let budgeted = estimator
                 .estimate_with_budget(
                     &evaluator,
                     &candidate,
                     params,
-                    &budget,
+                    &non_binding_budget(),
                     &mut StdRng::seed_from_u64(11),
                 )
                 .unwrap();
-            assert_eq!(budgeted.queries.len(), 1, "spec {}", spec.short_name());
-            let outcome = &budgeted.queries[0];
-            assert_eq!(outcome.estimate, plain.value, "spec {}", spec.short_name());
-            assert_eq!(outcome.samples, plain.samples);
-            assert_eq!(outcome.successes, plain.successes);
-            assert_eq!(outcome.status, BudgetStatus::Converged);
-            assert!(outcome.achieved.relative_epsilon.is_some());
+            assert_eq!(
+                budgeted.queries,
+                vec![unlimited],
+                "spec {}",
+                spec.short_name()
+            );
+            assert_eq!(unlimited.status, C);
+            assert!(unlimited.achieved.relative_epsilon.is_some());
         }
     }
 
     #[test]
     fn unlimited_budget_batch_paths_are_bit_identical_across_all_specs() {
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let budget = RunBudget::unlimited();
-        let stopping = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
-        let fixed = ApproximationParams::new(0.1, 0.1)
-            .unwrap()
-            .with_mode(EstimatorMode::FixedSamples(2_000));
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            for params in [stopping, fixed] {
-                let plain = batch
-                    .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(29))
-                    .unwrap();
+            for params in [stopping(0.25, 0.2, 200_000), fixed(0.1, 0.1, 2_000)] {
+                let unlimited = batch_run(&batch, &queries, params, 29);
                 let budgeted = batch
                     .estimate_batch_with_budget(
                         &queries,
                         params,
-                        &budget,
+                        &non_binding_budget(),
                         &mut StdRng::seed_from_u64(29),
                     )
                     .unwrap();
-                assert_eq!(budgeted.queries.len(), plain.len());
-                for (i, (b, p)) in budgeted.queries.iter().zip(&plain).enumerate() {
-                    assert_eq!(
-                        (b.estimate, b.samples, b.successes),
-                        (p.value, p.samples, p.successes),
-                        "spec {}, query {i}, mode {:?}",
-                        spec.short_name(),
-                        params.mode,
-                    );
-                    assert_eq!(b.status, BudgetStatus::Converged);
-                }
+                assert_eq!(
+                    budgeted,
+                    unlimited,
+                    "spec {}, mode {:?}",
+                    spec.short_name(),
+                    params.mode
+                );
+                assert!(unlimited.converged());
             }
         }
     }
@@ -2000,21 +2136,13 @@ mod tests {
         // RNG: the concatenated run must equal one uninterrupted run, for
         // several truncation points.
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
+        let params = stopping(0.25, 0.2, 200_000);
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let uninterrupted = batch
-            .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(41))
-            .unwrap();
+        let uninterrupted = batch_run(&batch, &queries, params, 41);
+        let bank = batch.compile_bank(&queries).unwrap();
         for cut in [1u64, 17, 80, 500] {
             let mut rng = StdRng::seed_from_u64(41);
             let token = CancelToken::tripped_at_draw(cut);
@@ -2028,45 +2156,36 @@ mod tests {
                 .iter()
                 .any(|q| q.status == BudgetStatus::Cancelled));
             let resumed = batch
-                .estimate_stopping_batch_resume(
+                .estimate_with_bank(
+                    &bank,
                     &queries,
                     params,
                     &RunBudget::unlimited(),
-                    &partial,
+                    Some(&partial),
                     &mut rng,
                 )
                 .unwrap();
-            for (i, (r, u)) in resumed.queries.iter().zip(&uninterrupted).enumerate() {
-                assert_eq!(
-                    (r.estimate, r.samples, r.successes),
-                    (u.value, u.samples, u.successes),
-                    "cut {cut}, query {i}"
-                );
-                assert_eq!(r.status, BudgetStatus::Converged);
-            }
+            assert_eq!(resumed, uninterrupted, "cut {cut}");
         }
     }
 
     #[test]
     fn enrollment_resume_with_a_precompiled_bank_matches_the_recompiling_resume() {
-        // The enrollment path (BankLiveSet::empty + enroll of the prior's
-        // non-converged entries, over a caller-held bank) must be
-        // indistinguishable from the recompiling resume: same outcomes,
-        // same statuses, same total draws, for several truncation points.
+        // The driver resumes by enrolling the prior's non-converged
+        // entries into an empty live set; the montecarlo layer on its own
+        // resumes from the full live set and re-announces every converged
+        // entry's retirement.  Both must be indistinguishable: same
+        // outcomes, statuses and total draws, for several truncation
+        // points.
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
+        let params = stopping(0.25, 0.2, 200_000);
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
         let bank = batch.compile_bank(&queries).unwrap();
+        let per_query_delta = params.delta / queries.len() as f64;
+        let target = StoppingRuleEstimator::new(params.epsilon, per_query_delta).success_target();
         for cut in [1u64, 17, 80, 500] {
             let mut rng = StdRng::seed_from_u64(41);
             let budget =
@@ -2074,27 +2193,36 @@ mod tests {
             let partial = batch
                 .estimate_stopping_batch_with_budget(&queries, params, &budget, &mut rng)
                 .unwrap();
-            let mut enrolled_rng = rng.clone();
-            let recompiled = batch
-                .estimate_stopping_batch_resume(
-                    &queries,
-                    params,
-                    &RunBudget::unlimited(),
-                    &partial,
-                    &mut rng,
-                )
-                .unwrap();
+            let mut retiring_rng = rng.clone();
             let enrolled = batch
-                .estimate_stopping_batch_resume_with_bank(
+                .estimate_with_bank(
                     &bank,
                     &queries,
                     params,
                     &RunBudget::unlimited(),
-                    &partial,
-                    &mut enrolled_rng,
+                    Some(&partial),
+                    &mut rng,
                 )
                 .unwrap();
-            assert_eq!(enrolled, recompiled, "cut {cut}");
+            let mut experiment = BatchStoppingExperiment::new(
+                batch.estimator(),
+                &bank,
+                &queries,
+                BankLiveSet::full(&bank),
+            );
+            let retiring = estimate_stopping_batch_budgeted(
+                &mut retiring_rng,
+                &[target; 2],
+                200_000,
+                &RunBudget::unlimited(),
+                &mut experiment,
+                Some(&budgeted_from(&partial)),
+            );
+            assert_eq!(
+                enrolled,
+                outcome_from(retiring, per_query_delta),
+                "cut {cut}"
+            );
         }
     }
 
@@ -2109,18 +2237,12 @@ mod tests {
         let lookup = QueryEvaluator::new(lookup);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1)];
-        let params = ApproximationParams::new(0.25, 0.2).unwrap().with_mode(
-            EstimatorMode::OptimalStopping {
-                max_samples: 200_000,
-            },
-        );
+        let params = stopping(0.25, 0.2, 200_000);
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let starved = RunBudget::unlimited().with_max_compile_steps(1);
-        let bank = batch.compile_bank_with_budget(&queries, &starved).unwrap();
+        let bank = batch.estimator().compile(&queries, &starved).unwrap();
         assert!(bank.is_fallback(0), "the starved bank degrades to fallback");
-        let plain = batch
-            .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(5))
-            .unwrap();
+        let plain = batch_run(&batch, &queries, params, 5);
         let degraded = batch
             .estimate_stopping_batch_with_budget(
                 &queries,
@@ -2129,15 +2251,8 @@ mod tests {
                 &mut StdRng::seed_from_u64(5),
             )
             .unwrap();
-        assert_eq!(
-            (
-                degraded.queries[0].estimate,
-                degraded.queries[0].samples,
-                degraded.queries[0].successes,
-            ),
-            (plain[0].value, plain[0].samples, plain[0].successes),
-        );
-        assert_eq!(degraded.queries[0].status, BudgetStatus::Converged);
+        assert_eq!(degraded, plain);
+        assert_eq!(degraded.queries[0].status, C);
     }
 
     #[test]
@@ -2194,39 +2309,25 @@ mod tests {
     #[test]
     fn budgeted_rounds_with_unlimited_budget_match_plain_rounds_at_fpras_level() {
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
-        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
-        let member = QueryEvaluator::new(member);
+        let (lookup, member) = lookup_and_member(&db);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
-        let params =
-            ApproximationParams::new(0.2, 0.1)
-                .unwrap()
-                .with_mode(EstimatorMode::OptimalStopping {
-                    max_samples: 1_000_000,
-                });
+        let params = stopping(0.2, 0.1, 1_000_000);
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let plain = batch
-            .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
-            .unwrap();
+        // The unbudgeted rounds path is the parallel batch entry point in
+        // the stopping mode; a non-binding budget must not change it.
+        let plain = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
         let budgeted = batch
             .estimate_stopping_batch_rounds_with_budget(
                 &queries,
                 params,
                 23,
                 DEFAULT_ROUND_SAMPLES,
-                &RunBudget::unlimited(),
+                &non_binding_budget(),
             )
             .unwrap();
-        for (i, (b, p)) in budgeted.queries.iter().zip(&plain).enumerate() {
-            assert_eq!(
-                (b.estimate, b.samples, b.successes),
-                (p.value, p.samples, p.successes),
-                "query {i}"
-            );
-            assert_eq!(b.status, BudgetStatus::Converged);
-        }
+        assert_eq!(budgeted, plain);
+        assert!(budgeted.converged());
         // A draw cap interrupts at a round boundary: a query that cannot
         // converge is cut after the first round instead of running to the
         // `max_samples` cut-off (queries that converged within the round
@@ -2294,24 +2395,11 @@ mod tests {
             GeneratorSpec::uniform_operations(),
             GeneratorSpec::uniform_operations().with_singleton_only(),
         ] {
-            let fresh = OcqaEstimator::new(&db, &sigma, spec)
-                .unwrap()
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(99),
-                )
-                .unwrap();
-            let reused = OcqaEstimator::with_conflict_index(&db, &sigma, spec, index.clone())
-                .unwrap()
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(99),
-                )
-                .unwrap();
+            let fresh = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+            let fresh = single(&fresh, &evaluator, &candidate, params, 99);
+            let reused =
+                OcqaEstimator::with_conflict_index(&db, &sigma, spec, index.clone()).unwrap();
+            let reused = single(&reused, &evaluator, &candidate, params, 99);
             assert_eq!(
                 fresh,
                 reused,

@@ -18,8 +18,9 @@
 //!   (Lemmas 7.2 and D.7).
 //! * [`bounds`] — the polynomial lower bounds on the target quantities
 //!   (Lemmas 5.3, 6.3, E.3, E.10, D.8 and Proposition 7.3).
-//! * [`montecarlo`] — Monte-Carlo estimation: fixed-sample-size estimators
-//!   and the Dagum–Karp–Luby–Ross optimal stopping rule.
+//! * [`montecarlo`] — Monte-Carlo estimation loops over a shared sample
+//!   stream: fixed sample size and the Dagum–Karp–Luby–Ross optimal
+//!   stopping rule.
 //! * [`budget`] — run budgets for the estimation loops: draw caps,
 //!   wall-clock deadlines, cooperative cancellation, and the achieved
 //!   `(ε′, δ)` bound of an interrupted run.
@@ -58,14 +59,14 @@ pub use budget::{
 };
 pub use error::CoreError;
 pub use exact::ExactSolver;
-pub use fpras::{ApproximationParams, BatchEstimator, BatchQuery, Estimate, OcqaEstimator};
+pub use fpras::{ApproximationParams, BatchEstimator, BatchQuery, OcqaEstimator};
 pub use stream::{TickOutcome, TickReport, WindowSpec, WindowedEstimator};
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::{
         AchievedBound, ApproximationParams, BatchEstimator, BatchQuery, BudgetStatus, CancelToken,
-        CoreError, Estimate, EstimateOutcome, ExactSolver, OcqaEstimator, QueryOutcome, RunBudget,
+        CoreError, EstimateOutcome, ExactSolver, OcqaEstimator, QueryOutcome, RunBudget,
         TickOutcome, TickReport, WindowSpec, WindowedEstimator,
     };
 }

@@ -4,30 +4,29 @@
 //! `p` of a Bernoulli random variable ("does a sampled repair/sequence
 //! entail the query?").  Two estimators are provided:
 //!
-//! * [`estimate_fixed`] — the textbook fixed-sample-size estimator, used
-//!   with the sample counts of [`crate::bounds`] (additive or relative
-//!   guarantees).
+//! * the textbook fixed-sample-size estimator
+//!   ([`estimate_fixed_batch_budgeted`]), used with the sample counts of
+//!   [`crate::bounds`] (additive or relative guarantees);
 //! * [`StoppingRuleEstimator`] — the *optimal stopping rule* of Dagum,
 //!   Karp, Luby and Ross (reference \[8\] of the paper), which achieves a
 //!   relative `(ε, δ)`-guarantee with an expected number of samples
 //!   proportional to `1/p`, without having to know a lower bound on `p` in
-//!   advance.  This is the estimator the practical FPRAS drivers use.
+//!   advance.  This is the estimator the practical FPRAS drivers use; its
+//!   loop is [`estimate_stopping_batch_budgeted`].
 //!
-//! Both have batched counterparts estimating `k` Bernoulli means from
-//! **one** shared sample stream: [`estimate_fixed_batch`] (and the
-//! rayon-sharded [`estimate_fixed_batch_parallel`]) for the fixed-sample
-//! modes, and [`estimate_stopping_batch`] (and the round-based
-//! [`estimate_stopping_batch_rounds`]) for the adaptive stopping rule,
-//! where each query tracks its own success target and *retires* from the
-//! per-draw work as it converges.
+//! Both run over a *bank* of `k` Bernoulli means estimated from **one**
+//! shared sample stream — a single mean is a bank of one — with
+//! rayon-sharded counterparts behind the `parallel` feature
+//! (`estimate_fixed_batch_parallel`, `estimate_stopping_batch_rounds_budgeted`).
+//! In the adaptive loops each query tracks its own success target and *retires*
+//! from the per-draw work as it converges.
 //!
-//! Every loop has a `_budgeted` counterpart taking a
-//! [`RunBudget`] — draw caps, wall-clock
-//! deadlines, cooperative cancellation — that can stop the stream
-//! mid-flight and reports a [`BudgetStatus`]
-//! alongside the partial outcome.  Budget checks consume no randomness and
-//! run *before* each draw, so an unconstrained budget is bit-identical to
-//! the plain loop and an interrupted run can be
+//! Every sequential loop runs under a [`RunBudget`] — draw caps,
+//! wall-clock deadlines, cooperative cancellation — that can stop the
+//! stream mid-flight and reports a [`BudgetStatus`] alongside the partial
+//! outcome.  Budget checks consume no randomness and run *before* each
+//! draw, so an unconstrained budget draws exactly the planned stream, and
+//! an interrupted stopping run can be
 //! [resumed](estimate_stopping_batch_budgeted) from the same RNG state to
 //! reproduce the uninterrupted stream bit-for-bit.
 
@@ -39,89 +38,6 @@ use rand::{rngs::StdRng, SeedableRng};
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
-/// The result of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonteCarloOutcome {
-    /// The estimate of the Bernoulli mean.
-    pub estimate: f64,
-    /// The number of samples that were drawn.
-    pub samples: u64,
-    /// The number of positive samples among them.
-    pub successes: u64,
-}
-
-/// Draws exactly `samples` Bernoulli samples from `experiment` and returns
-/// the empirical mean.
-///
-/// With `samples ≥ ln(2/δ)/(2ε²)` this is an additive `(ε, δ)`
-/// approximation (Hoeffding); with `samples ≥ 3·ln(2/δ)/(ε²·p)` it is a
-/// relative one (multiplicative Chernoff).
-pub fn estimate_fixed<R, F>(rng: &mut R, samples: u64, mut experiment: F) -> MonteCarloOutcome
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> bool,
-{
-    let mut successes = 0u64;
-    for _ in 0..samples {
-        if experiment(rng) {
-            successes += 1;
-        }
-    }
-    MonteCarloOutcome {
-        estimate: if samples == 0 {
-            0.0
-        } else {
-            successes as f64 / samples as f64
-        },
-        samples,
-        successes,
-    }
-}
-
-/// As [`estimate_fixed`], under a [`RunBudget`].
-///
-/// The budget is polled *before* each draw (consuming no randomness), so
-/// an unconstrained budget draws the same sample sequence as
-/// [`estimate_fixed`] and returns a bit-identical outcome with status
-/// [`BudgetStatus::Converged`].  An interrupted run reports the empirical
-/// mean over the draws actually consumed and the interrupting status.
-pub fn estimate_fixed_budgeted<R, F>(
-    rng: &mut R,
-    samples: u64,
-    budget: &RunBudget,
-    mut experiment: F,
-) -> (MonteCarloOutcome, BudgetStatus)
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> bool,
-{
-    let mut successes = 0u64;
-    let mut drawn = 0u64;
-    let mut status = BudgetStatus::Converged;
-    while drawn < samples {
-        if let Some(interrupt) = budget.check(drawn) {
-            status = interrupt;
-            break;
-        }
-        drawn += 1;
-        if experiment(rng) {
-            successes += 1;
-        }
-    }
-    (
-        MonteCarloOutcome {
-            estimate: if drawn == 0 {
-                0.0
-            } else {
-                successes as f64 / drawn as f64
-            },
-            samples: drawn,
-            successes,
-        },
-        status,
-    )
-}
-
 /// The result of a batched Monte-Carlo run: one shared sample count, one
 /// success counter per Bernoulli variable.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,54 +48,23 @@ pub struct BatchOutcome {
     pub successes: Vec<u64>,
 }
 
-impl BatchOutcome {
-    /// The per-variable empirical means.
-    pub fn estimates(&self) -> Vec<f64> {
-        self.successes
-            .iter()
-            .map(|&s| {
-                if self.samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / self.samples as f64
-                }
-            })
-            .collect()
-    }
-}
-
-/// Draws exactly `samples` *shared* experiments, each updating `queries`
-/// success counters at once: `experiment(rng, successes)` must add at most
-/// one to each counter per call.
+/// Draws up to `samples` *shared* experiments under a [`RunBudget`], each
+/// updating `queries` success counters at once: `experiment(rng,
+/// successes)` must add at most one to each counter per call.
 ///
 /// Because the RNG is consumed by the shared draw only (never by the
 /// per-variable checks), running this with `k` counters is bit-identical
-/// to `k` runs of [`estimate_fixed`] from the same RNG state — the batched
-/// and the independent estimators realise the *same* random variables.
-pub fn estimate_fixed_batch<R, F>(
-    rng: &mut R,
-    samples: u64,
-    queries: usize,
-    mut experiment: F,
-) -> BatchOutcome
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R, &mut [u64]),
-{
-    let mut successes = vec![0u64; queries];
-    for _ in 0..samples {
-        experiment(rng, &mut successes);
-    }
-    BatchOutcome { samples, successes }
-}
-
-/// As [`estimate_fixed_batch`], under a [`RunBudget`].
+/// to `k` one-counter runs from the same RNG state — the batched and the
+/// independent estimators realise the *same* random variables.  With
+/// `samples ≥ ln(2/δ)/(2ε²)` each mean is an additive `(ε, δ)`
+/// approximation (Hoeffding); with `samples ≥ 3·ln(2/δ)/(ε²·p)` a
+/// relative one (multiplicative Chernoff).
 ///
 /// One shared status for the whole batch: the fixed-sample stream either
 /// runs to its planned length ([`BudgetStatus::Converged`]) or every
 /// variable is cut at the same draw.  The budget is polled before each
-/// draw, so an unconstrained budget is bit-identical to
-/// [`estimate_fixed_batch`].
+/// draw and consumes no randomness, so an unconstrained budget draws
+/// exactly `samples` experiments.
 pub fn estimate_fixed_batch_budgeted<R, F>(
     rng: &mut R,
     samples: u64,
@@ -211,16 +96,19 @@ where
     )
 }
 
-/// Batched counterpart of [`estimate_fixed_parallel`]: draws exactly
-/// `samples` shared experiments sharded across threads, summing the
-/// per-shard success vectors.
+/// Draws exactly `samples` shared experiments sharded across threads,
+/// summing the per-shard success vectors.
 ///
-/// The shard boundaries and per-shard RNG streams are **identical** to
-/// [`estimate_fixed_parallel`]'s for the same `(master_seed, samples,
-/// shard_size)`, and the reduction is an element-wise integer sum, so the
-/// outcome is bit-identical regardless of thread count *and* bit-identical
-/// to `k` independent [`estimate_fixed_parallel`] runs whose experiments
-/// consume the RNG identically (the batched FPRAS guarantee).
+/// Shard `s` runs its own `StdRng` seeded deterministically from
+/// `(master_seed, s)` and its own experiment instance obtained from
+/// `make_experiment` (so per-shard scratch buffers — sampled-repair
+/// bitsets, walk scratch — are private to a shard and allocated once per
+/// shard, not once per sample).  Shard boundaries depend only on
+/// `samples` and `shard_size`, and the reduction is an element-wise
+/// integer sum, so the outcome is **bit-identical for a fixed master seed
+/// regardless of thread count** — including a thread count of one — and
+/// bit-identical to `k` one-counter runs whose experiments consume the
+/// RNG identically (the batched FPRAS guarantee).
 ///
 /// Only available with the `parallel` feature (rayon).
 #[cfg(feature = "parallel")]
@@ -279,55 +167,8 @@ fn shard_seed(master_seed: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws exactly `samples` Bernoulli samples in parallel, sharding them
-/// across threads.
-///
-/// Shard `s` runs its own `StdRng` seeded deterministically from
-/// `(master_seed, s)` and its own experiment instance obtained from
-/// `make_experiment` (so per-shard scratch buffers — sampled-repair
-/// bitsets, walk scratch — are private to a shard and allocated once per
-/// shard, not once per sample).  Because shard boundaries depend only on
-/// `samples` and `shard_size`, and the success total is an exact integer
-/// sum, the outcome is **bit-identical for a fixed master seed regardless
-/// of thread count** — including a thread count of one.
-///
-/// Only available with the `parallel` feature (rayon).
-#[cfg(feature = "parallel")]
-pub fn estimate_fixed_parallel<E, F>(
-    master_seed: u64,
-    samples: u64,
-    shard_size: u64,
-    make_experiment: F,
-) -> MonteCarloOutcome
-where
-    F: Fn() -> E + Sync,
-    E: FnMut(&mut StdRng) -> bool,
-{
-    let shard_size = shard_size.max(1);
-    let shards = samples.div_ceil(shard_size);
-    let successes: u64 = (0..shards)
-        .into_par_iter()
-        .map(|shard| {
-            let mut rng = StdRng::seed_from_u64(shard_seed(master_seed, shard));
-            let mut experiment = make_experiment();
-            let count = shard_size.min(samples - shard * shard_size);
-            (0..count).filter(|_| experiment(&mut rng)).count() as u64
-        })
-        .sum();
-    MonteCarloOutcome {
-        estimate: if samples == 0 {
-            0.0
-        } else {
-            successes as f64 / samples as f64
-        },
-        samples,
-        successes,
-    }
-}
-
-/// A batched Bernoulli experiment driven by the stopping-rule loops
-/// ([`estimate_stopping_batch`] and, with the `parallel` feature,
-/// [`estimate_stopping_batch_rounds`]).
+/// A batched Bernoulli experiment driven by the sequential stopping-rule
+/// loop ([`estimate_stopping_batch_budgeted`]).
 ///
 /// Unlike the fixed-sample batched loop, the adaptive loop *retires*
 /// queries as they converge, and the experiment is told about it so the
@@ -372,9 +213,9 @@ pub struct StoppingBatchOutcome {
 /// Dagum–Karp–Luby–Ross stopping rule applied to the prefix of the shared
 /// stream it observed.  Because the experiment's per-query checks consume
 /// no randomness, that prefix is the *same* sample sequence an independent
-/// [`StoppingRuleEstimator::estimate`] run with the same target would see
-/// from the same RNG state: the sequential batched loop is **bit-identical**
-/// to per-query stopping-rule runs (pass each query `Υ(ε, δ/k)` to realise
+/// one-query run with the same target would see from the same RNG state:
+/// the sequential batched loop is **bit-identical** to per-query
+/// stopping-rule runs (pass each query `Υ(ε, δ/k)` to realise
 /// the union-bound guarantee over a bank of `k`).
 ///
 /// Queries still live when `max_samples` is reached are flagged
@@ -550,7 +391,7 @@ where
     }
 }
 
-/// Round-based rayon-sharded variant of [`estimate_stopping_batch`]:
+/// Round-based rayon-sharded variant of [`estimate_stopping_batch_budgeted`]:
 /// draws up to `round_samples` shared samples per round (sharded across
 /// worker threads exactly like [`estimate_fixed_batch_parallel`], with a
 /// global shard counter deriving the per-shard RNG streams), then checks
@@ -585,48 +426,18 @@ where
 /// the element-wise integer success sums are all thread-count independent,
 /// and retirement decisions are made from the summed per-round counts.
 ///
-/// Only available with the `parallel` feature (rayon).
-#[cfg(feature = "parallel")]
-pub fn estimate_stopping_batch_rounds<E, F>(
-    master_seed: u64,
-    targets: &[u64],
-    max_samples: u64,
-    round_samples: u64,
-    shard_size: u64,
-    make_experiment: F,
-) -> StoppingBatchOutcome
-where
-    F: Fn(&[usize]) -> E + Sync,
-    E: FnMut(&mut StdRng, &mut [bool]),
-{
-    let budgeted = estimate_stopping_batch_rounds_budgeted(
-        master_seed,
-        targets,
-        max_samples,
-        round_samples,
-        shard_size,
-        &RunBudget::unlimited(),
-        make_experiment,
-    );
-    StoppingBatchOutcome {
-        outcomes: budgeted.outcomes,
-        total_samples: budgeted.total_samples,
-    }
-}
-
-/// As [`estimate_stopping_batch_rounds`], under a [`RunBudget`].
-///
 /// The budget is polled once per **round boundary** (consuming no
 /// randomness), so cancellation here is round-granular: a deadline or
 /// token observed at a boundary stops the run before the next round is
 /// dispatched to the thread pool, and live queries report the empirical
-/// mean over the rounds that completed.  An unconstrained budget is
-/// bit-identical to [`estimate_stopping_batch_rounds`], and the outcome
-/// remains bit-identical across thread counts for a fixed `master_seed`
+/// mean over the rounds that completed.  The outcome remains
+/// bit-identical across thread counts for a fixed `master_seed`
 /// whenever the budget decisions themselves are deterministic (draw caps
 /// and pre-tripped tokens are; a wall-clock deadline is not, by nature).
 /// Resumption is not offered on this path — mid-round work cannot be
 /// replayed draw-by-draw.
+///
+/// Only available with the `parallel` feature (rayon).
 #[cfg(feature = "parallel")]
 pub fn estimate_stopping_batch_rounds_budgeted<E, F>(
     master_seed: u64,
@@ -745,15 +556,16 @@ where
 /// `ε` of the true mean with probability at least `1 − δ`, and the
 /// expected sample count is `O(Υ / p)`.
 ///
-/// Because the expected running time is inversely proportional to the true
-/// mean, a `max_samples` cut-off is enforced; if it is reached the
-/// estimator returns the empirical mean observed so far and flags the
-/// result as truncated.
+/// This type holds the `(ε, δ)` parameters and derives the success target
+/// `Υ`; the loop itself is [`estimate_stopping_batch_budgeted`] (a single
+/// mean is a bank of one).  Because the expected running time is
+/// inversely proportional to the true mean, the loop enforces a
+/// `max_samples` cut-off; if it is reached the loop returns the empirical
+/// mean observed so far and flags the result as truncated.
 #[derive(Debug, Clone, Copy)]
 pub struct StoppingRuleEstimator {
     epsilon: f64,
     delta: f64,
-    max_samples: u64,
 }
 
 /// The outcome of a stopping-rule estimation run.
@@ -801,17 +613,7 @@ impl StoppingRuleEstimator {
                 message: format!("delta must be in (0, 1), got {delta}"),
             });
         }
-        Ok(StoppingRuleEstimator {
-            epsilon,
-            delta,
-            max_samples: 50_000_000,
-        })
-    }
-
-    /// Overrides the sample cut-off.
-    pub fn with_max_samples(mut self, max_samples: u64) -> Self {
-        self.max_samples = max_samples;
-        self
+        Ok(StoppingRuleEstimator { epsilon, delta })
     }
 
     /// The success target `Υ` of the stopping rule.
@@ -822,97 +624,6 @@ impl StoppingRuleEstimator {
                 / (self.epsilon * self.epsilon);
         upsilon.ceil() as u64
     }
-
-    /// Runs the stopping rule against the Bernoulli `experiment`.
-    pub fn estimate<R, F>(&self, rng: &mut R, mut experiment: F) -> StoppingRuleOutcome
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> bool,
-    {
-        let target = self.success_target();
-        let mut successes = 0u64;
-        let mut samples = 0u64;
-        while successes < target && samples < self.max_samples {
-            samples += 1;
-            if experiment(rng) {
-                successes += 1;
-            }
-        }
-        let truncated = successes < target;
-        let estimate = if truncated {
-            if samples == 0 {
-                0.0
-            } else {
-                successes as f64 / samples as f64
-            }
-        } else {
-            target as f64 / samples as f64
-        };
-        StoppingRuleOutcome {
-            estimate,
-            samples,
-            successes,
-            truncated,
-        }
-    }
-
-    /// As [`StoppingRuleEstimator::estimate`], under a [`RunBudget`].
-    ///
-    /// The budget is polled before each draw (consuming no randomness), so
-    /// an unconstrained budget is bit-identical to
-    /// [`StoppingRuleEstimator::estimate`].  An interrupted run reports
-    /// the empirical mean over the draws consumed, `truncated = true`, and
-    /// the interrupting status; reaching the success target reports
-    /// [`BudgetStatus::Converged`].
-    pub fn estimate_budgeted<R, F>(
-        &self,
-        rng: &mut R,
-        budget: &RunBudget,
-        mut experiment: F,
-    ) -> (StoppingRuleOutcome, BudgetStatus)
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> bool,
-    {
-        let target = self.success_target();
-        let mut successes = 0u64;
-        let mut samples = 0u64;
-        let mut interrupt = None;
-        while successes < target && samples < self.max_samples {
-            if let Some(status) = budget.check(samples) {
-                interrupt = Some(status);
-                break;
-            }
-            samples += 1;
-            if experiment(rng) {
-                successes += 1;
-            }
-        }
-        let truncated = successes < target;
-        let estimate = if truncated {
-            if samples == 0 {
-                0.0
-            } else {
-                successes as f64 / samples as f64
-            }
-        } else {
-            target as f64 / samples as f64
-        };
-        let status = if truncated {
-            interrupt.unwrap_or(BudgetStatus::BudgetExhausted)
-        } else {
-            BudgetStatus::Converged
-        };
-        (
-            StoppingRuleOutcome {
-                estimate,
-                samples,
-                successes,
-                truncated,
-            },
-            status,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -921,23 +632,68 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One Bernoulli variable as a bank of one for the stopping loop.
+    struct Bernoulli<F>(F);
+
+    impl<R: Rng + ?Sized, F: FnMut(&mut R) -> bool> StoppingBatchExperiment<R> for Bernoulli<F> {
+        fn draw(&mut self, rng: &mut R, hits: &mut [bool]) {
+            hits[0] = (self.0)(rng);
+        }
+    }
+
+    /// The stopping rule on one Bernoulli `experiment`: a bank of one
+    /// with target `Υ(ε, δ)`.
+    fn stop<R: Rng + ?Sized>(
+        estimator: StoppingRuleEstimator,
+        max_samples: u64,
+        rng: &mut R,
+        budget: &RunBudget,
+        experiment: impl FnMut(&mut R) -> bool,
+    ) -> (StoppingRuleOutcome, BudgetStatus) {
+        let outcome = estimate_stopping_batch_budgeted(
+            rng,
+            &[estimator.success_target()],
+            max_samples,
+            budget,
+            &mut Bernoulli(experiment),
+            None,
+        );
+        assert_eq!(outcome.total_samples, outcome.outcomes[0].samples);
+        (outcome.outcomes[0], outcome.statuses[0])
+    }
+
+    /// A fixed-sample run on one Bernoulli `experiment`: a bank of one.
+    fn fixed<R: Rng + ?Sized>(
+        rng: &mut R,
+        samples: u64,
+        budget: &RunBudget,
+        mut experiment: impl FnMut(&mut R) -> bool,
+    ) -> (BatchOutcome, BudgetStatus) {
+        estimate_fixed_batch_budgeted(rng, samples, 1, budget, |rng, successes| {
+            if experiment(rng) {
+                successes[0] += 1;
+            }
+        })
+    }
+
     #[test]
     fn fixed_estimator_recovers_the_mean() {
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = estimate_fixed(&mut rng, 40_000, |rng| rng.random_bool(0.3));
-        assert!((outcome.estimate - 0.3).abs() < 0.02);
+        let (outcome, status) = fixed(&mut rng, 40_000, &RunBudget::unlimited(), |rng| {
+            rng.random_bool(0.3)
+        });
+        assert_eq!(status, BudgetStatus::Converged);
         assert_eq!(outcome.samples, 40_000);
-        assert_eq!(
-            outcome.successes,
-            (outcome.estimate * 40_000.0).round() as u64
-        );
+        assert!((outcome.successes[0] as f64 / 40_000.0 - 0.3).abs() < 0.02);
     }
 
     #[test]
     fn fixed_estimator_with_zero_samples_is_zero() {
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = estimate_fixed(&mut rng, 0, |_| true);
-        assert_eq!(outcome.estimate, 0.0);
+        let (outcome, status) = fixed(&mut rng, 0, &RunBudget::unlimited(), |_| true);
+        assert_eq!(status, BudgetStatus::Converged);
+        assert_eq!(outcome.samples, 0);
+        assert_eq!(outcome.successes, vec![0]);
     }
 
     #[test]
@@ -945,8 +701,15 @@ mod tests {
         let estimator = StoppingRuleEstimator::new(0.1, 0.05);
         let mut rng = StdRng::seed_from_u64(3);
         for &p in &[0.5, 0.1, 0.01] {
-            let outcome = estimator.estimate(&mut rng, |rng| rng.random_bool(p));
+            let (outcome, status) = stop(
+                estimator,
+                50_000_000,
+                &mut rng,
+                &RunBudget::unlimited(),
+                |rng: &mut StdRng| rng.random_bool(p),
+            );
             assert!(!outcome.truncated);
+            assert_eq!(status, BudgetStatus::Converged);
             let relative_error = (outcome.estimate - p).abs() / p;
             assert!(
                 relative_error < 0.15,
@@ -960,19 +723,97 @@ mod tests {
     fn stopping_rule_uses_fewer_samples_for_larger_means() {
         let estimator = StoppingRuleEstimator::new(0.2, 0.1);
         let mut rng = StdRng::seed_from_u64(4);
-        let big = estimator.estimate(&mut rng, |rng| rng.random_bool(0.5));
-        let small = estimator.estimate(&mut rng, |rng| rng.random_bool(0.02));
+        let unlimited = RunBudget::unlimited();
+        let (big, _) = stop(
+            estimator,
+            u64::MAX,
+            &mut rng,
+            &unlimited,
+            |rng: &mut StdRng| rng.random_bool(0.5),
+        );
+        let (small, _) = stop(
+            estimator,
+            u64::MAX,
+            &mut rng,
+            &unlimited,
+            |rng: &mut StdRng| rng.random_bool(0.02),
+        );
         assert!(big.samples * 5 < small.samples);
     }
 
     #[test]
     fn stopping_rule_truncates_on_zero_probability_events() {
-        let estimator = StoppingRuleEstimator::new(0.2, 0.1).with_max_samples(5_000);
+        let estimator = StoppingRuleEstimator::new(0.2, 0.1);
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = estimator.estimate(&mut rng, |_| false);
+        let (outcome, status) = stop(estimator, 5_000, &mut rng, &RunBudget::unlimited(), |_| {
+            false
+        });
         assert!(outcome.truncated);
+        assert_eq!(status, BudgetStatus::BudgetExhausted);
         assert_eq!(outcome.estimate, 0.0);
         assert_eq!(outcome.samples, 5_000);
+    }
+
+    #[test]
+    fn golden_bernoulli_runs_of_the_deleted_single_variable_loops() {
+        // Same-seed outputs of the former single-variable loops
+        // (`estimate_fixed` and `StoppingRuleEstimator::estimate`), pinned
+        // before they were deleted: a bank of one must reproduce them.
+        let unlimited = RunBudget::unlimited();
+        let (outcome, _) = fixed(&mut StdRng::seed_from_u64(77), 5_000, &unlimited, |rng| {
+            rng.random_bool(0.3)
+        });
+        let estimate = outcome.successes[0] as f64 / outcome.samples as f64;
+        assert_eq!(
+            (estimate.to_bits(), outcome.samples, outcome.successes[0]),
+            (0x3fd32fec56d5cfab, 5000, 1499)
+        );
+        let estimator = StoppingRuleEstimator::new(0.2, 0.1);
+        let (outcome, _) = stop(
+            estimator,
+            50_000_000,
+            &mut StdRng::seed_from_u64(13),
+            &unlimited,
+            |rng: &mut StdRng| rng.random_bool(0.4),
+        );
+        assert_eq!(
+            (
+                outcome.estimate.to_bits(),
+                outcome.samples,
+                outcome.successes
+            ),
+            (0x3fd94018dca64398, 659, 260)
+        );
+        assert!(!outcome.truncated);
+        let (outcome, _) = stop(
+            estimator,
+            500,
+            &mut StdRng::seed_from_u64(13),
+            &unlimited,
+            |rng: &mut StdRng| rng.random_bool(0.01),
+        );
+        assert_eq!(
+            (
+                outcome.estimate.to_bits(),
+                outcome.samples,
+                outcome.successes
+            ),
+            (0x3f789374bc6a7efa, 500, 3)
+        );
+        assert!(outcome.truncated);
+        #[cfg(feature = "parallel")]
+        {
+            let outcome = estimate_fixed_batch_parallel(7, 50_001, 1_000, 1, || {
+                |rng: &mut StdRng, successes: &mut [u64]| {
+                    if rng.random_bool(0.4) {
+                        successes[0] += 1;
+                    }
+                }
+            });
+            assert_eq!((outcome.samples, outcome.successes[0]), (50_001, 19808));
+            let estimate = outcome.successes[0] as f64 / outcome.samples as f64;
+            assert_eq!(estimate.to_bits(), 0x3fd95a8e3db1dc31);
+        }
     }
 
     #[test]
@@ -981,22 +822,31 @@ mod tests {
         let _ = StoppingRuleEstimator::new(1.5, 0.1);
     }
 
+    /// A one-variable parallel run: the rayon-sharded fixed loop over a
+    /// bank of one.
+    #[cfg(feature = "parallel")]
+    fn parallel(master_seed: u64, samples: u64, shard_size: u64, p: f64) -> BatchOutcome {
+        estimate_fixed_batch_parallel(master_seed, samples, shard_size, 1, || {
+            move |rng: &mut StdRng, successes: &mut [u64]| {
+                if rng.random_bool(p) {
+                    successes[0] += 1;
+                }
+            }
+        })
+    }
+
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_recovers_the_mean() {
-        let outcome = estimate_fixed_parallel(99, 80_000, DEFAULT_SHARD_SIZE, || {
-            |rng: &mut StdRng| rng.random_bool(0.25)
-        });
+        let outcome = parallel(99, 80_000, DEFAULT_SHARD_SIZE, 0.25);
         assert_eq!(outcome.samples, 80_000);
-        assert!((outcome.estimate - 0.25).abs() < 0.01);
+        assert!((outcome.successes[0] as f64 / 80_000.0 - 0.25).abs() < 0.01);
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_is_thread_count_independent() {
-        let run = || {
-            estimate_fixed_parallel(7, 50_001, 1_000, || |rng: &mut StdRng| rng.random_bool(0.4))
-        };
+        let run = || parallel(7, 50_001, 1_000, 0.4);
         let baseline = run();
         for threads in [1usize, 2, 5, 16] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1011,44 +861,51 @@ mod tests {
     #[test]
     fn batch_estimator_matches_independent_runs_per_variable() {
         // A shared experiment whose per-variable checks are deterministic
-        // functions of one shared draw: batched counts must equal running
-        // each variable independently from the same RNG state.
+        // functions of one shared draw: a batch of k must equal k banks
+        // of one from the same RNG state.
         let thresholds = [0.2f64, 0.5, 0.8];
-        let batched = {
+        let unlimited = RunBudget::unlimited();
+        let (batched, _) = {
             let mut rng = StdRng::seed_from_u64(11);
-            estimate_fixed_batch(&mut rng, 10_000, thresholds.len(), |rng, successes| {
-                let draw: f64 = rng.random();
-                for (s, &t) in successes.iter_mut().zip(&thresholds) {
-                    if draw < t {
-                        *s += 1;
+            estimate_fixed_batch_budgeted(
+                &mut rng,
+                10_000,
+                thresholds.len(),
+                &unlimited,
+                |rng, successes| {
+                    let draw: f64 = rng.random();
+                    for (s, &t) in successes.iter_mut().zip(&thresholds) {
+                        if draw < t {
+                            *s += 1;
+                        }
                     }
-                }
-            })
+                },
+            )
         };
         assert_eq!(batched.samples, 10_000);
         for (i, &t) in thresholds.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(11);
-            let single = estimate_fixed(&mut rng, 10_000, |rng| {
+            let (single, _) = fixed(&mut rng, 10_000, &unlimited, |rng| {
                 let draw: f64 = rng.random();
                 draw < t
             });
-            assert_eq!(batched.successes[i], single.successes, "variable {i}");
-        }
-        let estimates = batched.estimates();
-        for (e, &t) in estimates.iter().zip(&thresholds) {
-            assert!((e - t).abs() < 0.02);
+            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
+            assert!((batched.successes[i] as f64 / 10_000.0 - t).abs() < 0.02);
         }
     }
 
     #[test]
     fn batch_estimator_with_zero_samples_or_queries() {
         let mut rng = StdRng::seed_from_u64(1);
-        let zero = estimate_fixed_batch(&mut rng, 0, 3, |_, _| panic!("no draws"));
+        let unlimited = RunBudget::unlimited();
+        let (zero, _) =
+            estimate_fixed_batch_budgeted(&mut rng, 0, 3, &unlimited, |_, _| panic!("no draws"));
         assert_eq!(zero.successes, vec![0, 0, 0]);
-        assert_eq!(zero.estimates(), vec![0.0, 0.0, 0.0]);
-        let empty = estimate_fixed_batch(&mut rng, 5, 0, |_, successes| {
-            assert!(successes.is_empty());
-        });
+        assert_eq!(zero.samples, 0);
+        let (empty, _) =
+            estimate_fixed_batch_budgeted(&mut rng, 5, 0, &unlimited, |_, successes| {
+                assert!(successes.is_empty());
+            });
         assert!(empty.successes.is_empty());
     }
 
@@ -1066,13 +923,15 @@ mod tests {
         };
         let batched = estimate_fixed_batch_parallel(42, 30_001, 1_000, 2, || experiment);
         for (i, &t) in thresholds.iter().enumerate() {
-            let single = estimate_fixed_parallel(42, 30_001, 1_000, || {
-                move |rng: &mut StdRng| {
+            let single = estimate_fixed_batch_parallel(42, 30_001, 1_000, 1, || {
+                move |rng: &mut StdRng, successes: &mut [u64]| {
                     let draw: f64 = rng.random();
-                    draw < t
+                    if draw < t {
+                        successes[0] += 1;
+                    }
                 }
             });
-            assert_eq!(batched.successes[i], single.successes, "variable {i}");
+            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
         }
         // Thread-count independence.
         for threads in [1usize, 2, 7] {
@@ -1184,6 +1043,31 @@ mod tests {
         assert_eq!(batched.total_samples, 0);
     }
 
+    /// The round-based stopping rule with an unconstrained budget.
+    #[cfg(feature = "parallel")]
+    fn rounds<E, F>(
+        master_seed: u64,
+        targets: &[u64],
+        max_samples: u64,
+        round_samples: u64,
+        shard_size: u64,
+        make_experiment: F,
+    ) -> BudgetedStoppingOutcome
+    where
+        F: Fn(&[usize]) -> E + Sync,
+        E: FnMut(&mut StdRng, &mut [bool]),
+    {
+        estimate_stopping_batch_rounds_budgeted(
+            master_seed,
+            targets,
+            max_samples,
+            round_samples,
+            shard_size,
+            &RunBudget::unlimited(),
+            make_experiment,
+        )
+    }
+
     #[cfg(feature = "parallel")]
     #[test]
     fn stopping_batch_rounds_achieves_relative_error_and_retires() {
@@ -1191,7 +1075,7 @@ mod tests {
         let estimator = StoppingRuleEstimator::new(0.1, 0.05);
         let targets = vec![estimator.success_target(); 2];
         let run = || {
-            estimate_stopping_batch_rounds(33, &targets, 10_000_000, 2_048, 512, |_live| {
+            rounds(33, &targets, 10_000_000, 2_048, 512, |_live| {
                 move |rng: &mut StdRng, hits: &mut [bool]| {
                     let draw: f64 = rng.random();
                     for (hit, &t) in hits.iter_mut().zip(&thresholds) {
@@ -1240,7 +1124,7 @@ mod tests {
         let target = StoppingRuleEstimator::new(0.3, 0.1).success_target();
         let targets = vec![target; 2];
         let live_sizes: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let batched = estimate_stopping_batch_rounds(9, &targets, 1_000_000, 1_000, 500, |live| {
+        let batched = rounds(9, &targets, 1_000_000, 1_000, 500, |live| {
             live_sizes.lock().unwrap().push(live.len());
             move |rng: &mut StdRng, hits: &mut [bool]| {
                 let draw: f64 = rng.random();
@@ -1272,7 +1156,7 @@ mod tests {
         );
         // The adaptive schedule stays bit-identical across thread counts.
         let rerun = || {
-            estimate_stopping_batch_rounds(9, &targets, 1_000_000, 1_000, 500, |_live| {
+            rounds(9, &targets, 1_000_000, 1_000, 500, |_live| {
                 move |rng: &mut StdRng, hits: &mut [bool]| {
                     let draw: f64 = rng.random();
                     for (hit, &t) in hits.iter_mut().zip(&thresholds) {
@@ -1294,7 +1178,7 @@ mod tests {
     #[test]
     fn stopping_batch_rounds_truncates_at_the_cut_off() {
         let targets = vec![10u64];
-        let batched = estimate_stopping_batch_rounds(1, &targets, 1_000, 256, 64, |_live| {
+        let batched = rounds(1, &targets, 1_000, 256, 64, |_live| {
             |_rng: &mut StdRng, hits: &mut [bool]| hits.fill(false)
         });
         assert!(batched.outcomes[0].truncated);
@@ -1304,36 +1188,40 @@ mod tests {
 
     #[test]
     fn unbudgeted_and_unlimited_budget_fixed_runs_are_bit_identical() {
-        let plain = {
+        // The golden stream (1499 successes in 5000 draws at seed 77) is
+        // reproduced exactly under the unlimited and a non-binding budget.
+        let run = |budget: &RunBudget| {
             let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed(&mut rng, 5_000, |rng| rng.random_bool(0.3))
+            fixed(&mut rng, 5_000, budget, |rng| rng.random_bool(0.3))
         };
-        let (budgeted, status) = {
-            let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed_budgeted(&mut rng, 5_000, &RunBudget::unlimited(), |rng| {
-                rng.random_bool(0.3)
-            })
-        };
-        assert_eq!(budgeted, plain);
+        let (unlimited, status) = run(&RunBudget::unlimited());
+        assert_eq!((unlimited.samples, unlimited.successes[0]), (5_000, 1499));
         assert_eq!(status, BudgetStatus::Converged);
+        let non_binding = RunBudget::unlimited()
+            .with_max_draws(5_000)
+            .with_cancel_token(crate::budget::CancelToken::new());
+        assert_eq!(run(&non_binding), (unlimited, status));
     }
 
     #[test]
     fn budgeted_fixed_run_stops_at_the_draw_cap() {
         let mut rng = StdRng::seed_from_u64(77);
         let budget = RunBudget::unlimited().with_max_draws(100);
-        let (outcome, status) =
-            estimate_fixed_budgeted(&mut rng, 5_000, &budget, |rng| rng.random_bool(0.3));
+        let (outcome, status) = fixed(&mut rng, 5_000, &budget, |rng| rng.random_bool(0.3));
         assert_eq!(status, BudgetStatus::BudgetExhausted);
         assert_eq!(outcome.samples, 100);
         // Exactly 100 draws were consumed: the next draw continues the
         // uninterrupted stream.
-        let continued = estimate_fixed(&mut rng, 4_900, |rng| rng.random_bool(0.3));
-        let full = {
+        let unlimited = RunBudget::unlimited();
+        let (continued, _) = fixed(&mut rng, 4_900, &unlimited, |rng| rng.random_bool(0.3));
+        let (full, _) = {
             let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed(&mut rng, 5_000, |rng| rng.random_bool(0.3))
+            fixed(&mut rng, 5_000, &unlimited, |rng| rng.random_bool(0.3))
         };
-        assert_eq!(outcome.successes + continued.successes, full.successes);
+        assert_eq!(
+            outcome.successes[0] + continued.successes[0],
+            full.successes[0]
+        );
     }
 
     #[test]
@@ -1432,24 +1320,28 @@ mod tests {
 
     #[test]
     fn stopping_rule_budgeted_matches_plain_and_reports_cancellation() {
+        // The golden run (retiring after 659 draws at seed 13) is
+        // reproduced under a non-binding budget and cut by a tripped token.
         let estimator = StoppingRuleEstimator::new(0.2, 0.1);
-        let plain = {
+        let run = |budget: &RunBudget| {
             let mut rng = StdRng::seed_from_u64(13);
-            estimator.estimate(&mut rng, |rng| rng.random_bool(0.4))
+            stop(
+                estimator,
+                50_000_000,
+                &mut rng,
+                budget,
+                |rng: &mut StdRng| rng.random_bool(0.4),
+            )
         };
-        let (budgeted, status) = {
-            let mut rng = StdRng::seed_from_u64(13);
-            estimator.estimate_budgeted(&mut rng, &RunBudget::unlimited(), |rng| {
-                rng.random_bool(0.4)
-            })
-        };
-        assert_eq!(budgeted, plain);
+        let (plain, status) = run(&RunBudget::unlimited());
+        assert_eq!((plain.samples, plain.successes), (659, 260));
         assert_eq!(status, BudgetStatus::Converged);
-        let mut rng = StdRng::seed_from_u64(13);
+        let non_binding = RunBudget::unlimited()
+            .with_cancel_token(crate::budget::CancelToken::tripped_at_draw(659));
+        assert_eq!(run(&non_binding), (plain, status));
         let budget = RunBudget::unlimited()
             .with_cancel_token(crate::budget::CancelToken::tripped_at_draw(7));
-        let (partial, status) =
-            estimator.estimate_budgeted(&mut rng, &budget, |rng| rng.random_bool(0.4));
+        let (partial, status) = run(&budget);
         assert_eq!(status, BudgetStatus::Cancelled);
         assert!(partial.truncated);
         assert_eq!(partial.samples, 7);
@@ -1476,19 +1368,20 @@ mod tests {
                 }
             }
         };
-        let plain =
-            estimate_stopping_batch_rounds(33, &targets, 10_000_000, 2_048, 512, experiment);
+        let plain = rounds(33, &targets, 10_000_000, 2_048, 512, experiment);
+        let non_binding = RunBudget::unlimited()
+            .with_max_draws(u64::MAX)
+            .with_cancel_token(crate::budget::CancelToken::new());
         let budgeted = estimate_stopping_batch_rounds_budgeted(
             33,
             &targets,
             10_000_000,
             2_048,
             512,
-            &RunBudget::unlimited(),
+            &non_binding,
             experiment,
         );
-        assert_eq!(budgeted.outcomes, plain.outcomes);
-        assert_eq!(budgeted.total_samples, plain.total_samples);
+        assert_eq!(budgeted, plain);
         assert!(budgeted.statuses.iter().all(|s| s.is_converged()));
     }
 
@@ -1530,10 +1423,10 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_handles_edge_sample_counts() {
-        let zero = estimate_fixed_parallel(1, 0, 64, || |_: &mut StdRng| true);
-        assert_eq!(zero.estimate, 0.0);
+        let zero = parallel(1, 0, 64, 1.0);
+        assert_eq!(zero.successes, vec![0]);
         assert_eq!(zero.samples, 0);
-        let one = estimate_fixed_parallel(1, 1, 64, || |_: &mut StdRng| true);
-        assert_eq!(one.successes, 1);
+        let one = parallel(1, 1, 64, 1.0);
+        assert_eq!(one.successes, vec![1]);
     }
 }

@@ -21,7 +21,7 @@
 //! through the enrollment path
 //! ([`BankLiveSet::enroll`](ucqa_query::BankLiveSet::enroll) — the dual
 //! of the retirement the loop performs as queries converge — driven by
-//! [`BatchEstimator::estimate_stopping_batch_resume_with_bank`]).
+//! [`BatchEstimator::estimate_with_bank`]).
 //!
 //! A reused outcome is the estimate the entry converged to when it last
 //! changed, carried forward across ticks that provably did not move its
@@ -469,9 +469,8 @@ impl WindowedEstimator {
             .map(|(e, c)| BatchQuery::new(e, c.as_slice()))
             .collect();
         let estimator = self.estimator()?;
-        let outcome = estimator.estimate_stopping_batch_resume_with_bank(
-            &self.bank, &batch, params, budget, &source, rng,
-        )?;
+        let outcome =
+            estimator.estimate_with_bank(&self.bank, &batch, params, budget, Some(&source), rng)?;
         let tick_draws = outcome.total_draws;
         if outcome.converged() {
             self.prior = Some(outcome.clone());

@@ -6,7 +6,7 @@
 //! whatever the stream has proven when the budget runs out.  This example
 //! walks the full lifecycle over an inconsistent sensor table:
 //!
-//! 1. an **unconstrained** budget (bit-identical to the unbudgeted path),
+//! 1. an **unconstrained** budget (runs every query to convergence),
 //! 2. a **draw cap** cutting the stream mid-flight, with each query
 //!    reporting the achieved `(ε′, δ/k)` bound at its actual draw count,
 //! 3. **resuming** the interrupted run to convergence with the same RNG
@@ -76,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_samples: 500_000,
     });
 
-    // 1. Unconstrained budget: same stream, same outcome, plus per-query
-    //    status and achieved-bound reporting.
+    // 1. Unconstrained budget: every query runs to convergence, with
+    //    per-query status and achieved-bound reporting.
     let full = estimator.estimate_stopping_batch_with_budget(
         &bank,
         params,
@@ -121,13 +121,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 3. Resume with the remaining budget: the same RNG continues the
+    // 3. Resume with the remaining budget: the capped outcome is the
+    //    prior of a run over the compiled bank, the same RNG continues the
     //    stream, and the concatenated run equals the uninterrupted one.
-    let resumed = estimator.estimate_stopping_batch_resume(
+    let compiled = estimator.compile_bank(&bank)?;
+    let resumed = estimator.estimate_with_bank(
+        &compiled,
         &bank,
         params,
         &RunBudget::unlimited(),
-        &capped,
+        Some(&capped),
         &mut rng,
     )?;
     let identical = resumed

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
-use uocqa::core::CoreError;
+use uocqa::core::{CoreError, RunBudget};
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -91,17 +91,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["Alice", "Tom"] {
         let query = parse_query(db.schema(), &format!("Ans() :- Emp(1, b, '{name}')"))?;
         let evaluator = QueryEvaluator::new(query);
-        let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
+        let estimate = estimator
+            .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)?
+            .queries[0];
         println!(
             "  P[{name} survives repairing] ≈ {:.3}   ({} samples)",
-            estimate.value, estimate.samples
+            estimate.estimate, estimate.samples
         );
     }
 
     println!("\nconflict-free employees keep probability ≈ 1:");
     let query = parse_query(db.schema(), "Ans() :- Emp(x, y, 'person-2')")?;
     let evaluator = QueryEvaluator::new(query);
-    let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
-    println!("  P[person-2 survives] ≈ {:.3}", estimate.value);
+    let estimate = estimator
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)?
+        .queries[0];
+    println!("  P[person-2 survives] ≈ {:.3}", estimate.estimate);
     Ok(())
 }

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -69,10 +70,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(42);
     println!("\napproximate answers (FPRAS, ε = 0.05):");
     for name in ["Alice", "Tom", "Dave"] {
-        let estimate = estimator.estimate(&evaluator, &[Value::str(name)], params, &mut rng)?;
+        let candidate = [Value::str(name)];
+        let outcome = estimator.estimate_with_budget(
+            &evaluator,
+            &candidate,
+            params,
+            &RunBudget::unlimited(),
+            &mut rng,
+        )?;
+        let estimate = outcome.queries[0];
         println!(
             "  {name} -> {:.4}  ({} samples)",
-            estimate.value, estimate.samples
+            estimate.estimate, estimate.samples
         );
     }
     Ok(())

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -67,11 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // How likely is it that sensor 0 is really at its first recorded site?
     let query = parse_query(db.schema(), "Ans() :- Sensor(0, 'site-0-0')")?;
     let evaluator = QueryEvaluator::new(query);
-    let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
+    let estimate = estimator
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)?
+        .queries[0];
     let exact = 1.0 / (conflicting_readings_of_s0 as f64 + 1.0);
     println!(
         "\nP[sensor 0 is at site-0-0]  estimate {:.4}  (exact {:.4}, {} samples, ε = 0.05)",
-        estimate.value, exact, estimate.samples
+        estimate.estimate, exact, estimate.samples
     );
 
     // Which location should we report for sensor 1?  Rank its candidate
@@ -86,13 +89,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut ranked = Vec::new();
     for location in candidates {
-        let estimate = estimator.estimate(
-            &evaluator,
-            std::slice::from_ref(&location),
-            params,
-            &mut rng,
-        )?;
-        ranked.push((location, estimate.value));
+        let estimate = estimator
+            .estimate_with_budget(
+                &evaluator,
+                std::slice::from_ref(&location),
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )?
+            .queries[0];
+        ranked.push((location, estimate.estimate));
     }
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (location, probability) in ranked {

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
-use uocqa::core::CoreError;
+use uocqa::core::{CoreError, RunBudget};
 use uocqa::db::ViolationSet;
 use uocqa::query::QueryEvaluator;
 use uocqa::repair::GeneratorSpec;
@@ -36,15 +36,22 @@ fn all_supported_fpras_combinations_agree_with_exact_on_a_small_instance() {
             .to_f64();
         let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
         let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .unwrap();
-        assert!(!estimate.truncated);
-        let error = (estimate.value - exact).abs() / exact;
+            .estimate_with_budget(
+                &evaluator,
+                &candidate,
+                params,
+                &RunBudget::unlimited(),
+                &mut rng,
+            )
+            .unwrap()
+            .queries[0];
+        assert!(estimate.status.is_converged());
+        let error = (estimate.estimate - exact).abs() / exact;
         assert!(
             error < 0.12,
             "{}: exact {exact:.4}, estimate {:.4}",
             spec.short_name(),
-            estimate.value
+            estimate.estimate
         );
     }
 }
@@ -82,15 +89,20 @@ fn batched_estimates_match_exact_within_additive_epsilon() {
         let exact = solver.answer_probabilities(spec, &refs).unwrap();
         let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
         let estimates = estimator
-            .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(31))
+            .estimate_batch_with_budget(
+                &bank,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(31),
+            )
             .unwrap();
-        for (i, (estimate, exact)) in estimates.iter().zip(&exact).enumerate() {
+        for (i, (estimate, exact)) in estimates.queries.iter().zip(&exact).enumerate() {
             assert!(
-                (estimate.value - exact.to_f64()).abs() <= epsilon,
+                (estimate.estimate - exact.to_f64()).abs() <= epsilon,
                 "{}, query {i}: exact {:.4}, estimate {:.4}",
                 spec.short_name(),
                 exact.to_f64(),
-                estimate.value
+                estimate.estimate
             );
         }
     }
@@ -108,14 +120,19 @@ fn batched_estimates_match_exact_within_additive_epsilon() {
         .unwrap();
     let estimates = BatchEstimator::new(&db, &sigma, spec)
         .unwrap()
-        .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(8))
+        .estimate_batch_with_budget(
+            &bank,
+            params,
+            &RunBudget::unlimited(),
+            &mut StdRng::seed_from_u64(8),
+        )
         .unwrap();
-    for (i, (estimate, exact)) in estimates.iter().zip(&exact).enumerate() {
+    for (i, (estimate, exact)) in estimates.queries.iter().zip(&exact).enumerate() {
         assert!(
-            (estimate.value - exact.to_f64()).abs() <= epsilon,
+            (estimate.estimate - exact.to_f64()).abs() <= epsilon,
             "FD workload, query {i}: exact {:.4}, estimate {:.4}",
             exact.to_f64(),
-            estimate.value
+            estimate.estimate
         );
     }
 }
@@ -134,10 +151,11 @@ fn multi_atom_queries_are_estimated_correctly() {
     let params = ApproximationParams::new(0.05, 0.05).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+        .unwrap()
+        .queries[0];
     if exact > 0.0 {
-        assert!((estimate.value - exact).abs() / exact < 0.12);
+        assert!((estimate.estimate - exact).abs() / exact < 0.12);
     } else {
         assert_eq!(estimate.successes, 0);
     }
@@ -162,9 +180,10 @@ fn keys_beyond_primary_keys_route_to_uniform_operations_only() {
     let params = ApproximationParams::new(0.2, 0.1).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
     let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
-    assert!(estimate.value > 0.0 && estimate.value <= 1.0);
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+        .unwrap()
+        .queries[0];
+    assert!(estimate.estimate > 0.0 && estimate.estimate <= 1.0);
 }
 
 #[test]
@@ -186,12 +205,13 @@ fn fd_instances_require_singleton_operations() {
     let params = ApproximationParams::new(0.15, 0.1).unwrap();
     let mut rng = StdRng::seed_from_u64(17);
     let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
-    assert!(estimate.value > 0.0 && estimate.value <= 1.0);
+        .estimate_with_budget(&evaluator, &[], params, &RunBudget::unlimited(), &mut rng)
+        .unwrap()
+        .queries[0];
+    assert!(estimate.estimate > 0.0 && estimate.estimate <= 1.0);
     // Theorem 7.5 / Lemma D.8: the (non-zero) value respects the bound.
     let bound = estimator.theoretical_lower_bound(&evaluator).to_f64();
-    assert!(estimate.value >= bound);
+    assert!(estimate.estimate >= bound);
 }
 
 #[test]
@@ -206,10 +226,17 @@ fn fixed_sample_modes_scale_to_larger_workloads() {
         .with_mode(EstimatorMode::FixedSamples(4_000));
     let mut rng = StdRng::seed_from_u64(23);
     let estimate = estimator
-        .estimate(&evaluator, &candidate, params, &mut rng)
-        .unwrap();
+        .estimate_with_budget(
+            &evaluator,
+            &candidate,
+            params,
+            &RunBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap()
+        .queries[0];
     // Exact value for a block of size 5 under uniform repairs is 1/6.
-    assert!((estimate.value - 1.0 / 6.0).abs() < 0.03);
+    assert!((estimate.estimate - 1.0 / 6.0).abs() < 0.03);
     assert_eq!(estimate.samples, 4_000);
 }
 

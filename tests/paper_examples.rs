@@ -3,6 +3,7 @@
 
 use uocqa::core::counting;
 use uocqa::core::exact::ExactSolver;
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::numeric::Ratio;
 use uocqa::query::{parser::parse_query, QueryEvaluator};
@@ -193,32 +194,40 @@ fn running_example_multi_query_batch_golden_case() {
         .unwrap()
         .with_mode(EstimatorMode::FixedAdditive);
     let estimates = estimator
-        .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(22))
+        .estimate_batch_with_budget(
+            &bank,
+            params,
+            &RunBudget::unlimited(),
+            &mut StdRng::seed_from_u64(22),
+        )
         .unwrap();
-    for (i, ((_, golden), estimate)) in texts_and_golden.iter().zip(&estimates).enumerate() {
+    for (i, ((_, golden), estimate)) in texts_and_golden.iter().zip(&estimates.queries).enumerate()
+    {
         assert!(
-            (estimate.value - golden.to_f64()).abs() <= 0.05,
+            (estimate.estimate - golden.to_f64()).abs() <= 0.05,
             "query {i}: golden {} ≈ {:.4}, estimate {:.4}",
             golden,
             golden.to_f64(),
-            estimate.value
+            estimate.estimate
         );
         let single = estimator
             .estimator()
-            .estimate(
+            .estimate_with_budget(
                 bank[i].evaluator,
                 bank[i].candidate,
                 params,
+                &RunBudget::unlimited(),
                 &mut StdRng::seed_from_u64(22),
             )
-            .unwrap();
+            .unwrap()
+            .queries[0];
         assert_eq!(
-            estimates[i], single,
+            estimates.queries[i], single,
             "query {i} diverged from single-query run"
         );
     }
     // The impossible conjunction is estimated at exactly zero.
-    assert_eq!(estimates[2].successes, 0);
+    assert_eq!(estimates.queries[2].successes, 0);
 }
 
 #[test]

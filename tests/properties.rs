@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use uocqa::core::counting;
+use uocqa::core::RunBudget;
 use uocqa::db::{
     ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, LiveOps, Value, ViolationSet,
 };
@@ -191,9 +192,10 @@ proptest! {
     }
 
     /// Batched multi-query FPRAS runs are **bit-identical** to per-query
-    /// runs under the same seed — the sequential path against
-    /// [`estimate`](uocqa::core::fpras::OcqaEstimator::estimate), the
-    /// rayon-parallel path against `estimate_parallel` — across bank
+    /// runs under the same seed — a batch of k against k banks of one:
+    /// the sequential path against
+    /// [`estimate_with_budget`](uocqa::core::fpras::OcqaEstimator::estimate_with_budget),
+    /// the rayon-parallel path against `estimate_parallel` — across bank
     /// sizes 1, 2 and 8 (with duplicate queries once the bank wraps
     /// around the database), on random multi-FD, non-key, cross-relation
     /// databases.  The RNG is consumed by the shared repair draw only, so
@@ -232,20 +234,30 @@ proptest! {
                 .map(|e| BatchQuery::new(e, &[]))
                 .collect();
             let batched = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
-            prop_assert_eq!(batched.len(), bank_size);
+            prop_assert_eq!(batched.queries.len(), bank_size);
             for (i, query) in bank.iter().enumerate() {
                 let single = estimator
                     .estimator()
-                    .estimate(
+                    .estimate_with_budget(
                         query.evaluator,
                         query.candidate,
                         params,
+                        &RunBudget::unlimited(),
                         &mut StdRng::seed_from_u64(seed),
                     )
-                    .unwrap();
-                prop_assert_eq!(batched[i], single, "sequential, bank {}, query {}", bank_size, i);
+                    .unwrap()
+                    .queries[0];
+                prop_assert_eq!(
+                    batched.queries[i], single,
+                    "sequential, bank {}, query {}", bank_size, i
+                );
             }
             let batched_parallel = estimator
                 .estimate_batch_parallel(&bank, params, seed)
@@ -256,7 +268,7 @@ proptest! {
                     .estimate_parallel(query.evaluator, query.candidate, params, seed)
                     .unwrap();
                 prop_assert_eq!(
-                    batched_parallel[i], single,
+                    batched_parallel.queries[i], single.queries[0],
                     "parallel, bank {}, query {}", bank_size, i
                 );
             }
@@ -323,48 +335,58 @@ proptest! {
                 .collect();
             bank.push(BatchQuery::new(&never, &[]));
             let estimates = estimator
-                .estimate_stopping_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_stopping_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
-            prop_assert_eq!(estimates.len(), bank_size + 1);
-            for (i, estimate) in estimates[..bank_size].iter().enumerate() {
+            prop_assert_eq!(estimates.queries.len(), bank_size + 1);
+            for (i, estimate) in estimates.queries[..bank_size].iter().enumerate() {
                 let p = exact[i].to_f64();
                 if p == 0.0 {
                     prop_assert_eq!(estimate.successes, 0, "bank {}, query {}", bank_size, i);
-                    prop_assert!(estimate.truncated);
+                    prop_assert!(!estimate.status.is_converged());
                 } else if p >= 0.05 {
                     // Well-supported queries must retire before the
                     // cut-off and land within the (doubled) error radius.
                     prop_assert!(
-                        !estimate.truncated,
+                        estimate.status.is_converged(),
                         "bank {}, query {}: truncated at p = {}", bank_size, i, p
                     );
                     prop_assert!(
                         estimate.samples < max_samples,
                         "bank {}, query {} did not retire early", bank_size, i
                     );
-                    let relative_error = (estimate.value - p).abs() / p;
+                    let relative_error = (estimate.estimate - p).abs() / p;
                     prop_assert!(
                         relative_error < 2.0 * epsilon,
                         "bank {}, query {}: exact {}, estimate {} (relative error {})",
-                        bank_size, i, p, estimate.value, relative_error
+                        bank_size, i, p, estimate.estimate, relative_error
                     );
-                } else if !estimate.truncated {
+                } else if estimate.status.is_converged() {
                     // Tiny but positive probabilities may legitimately
                     // truncate; when they do retire, the bound holds.
-                    let relative_error = (estimate.value - p).abs() / p;
+                    let relative_error = (estimate.estimate - p).abs() / p;
                     prop_assert!(relative_error < 2.0 * epsilon);
                 }
             }
             // The impossible query rides the stream to the cut-off …
-            let never_estimate = estimates[bank_size];
-            prop_assert!(never_estimate.truncated);
+            let never_estimate = estimates.queries[bank_size];
+            prop_assert!(!never_estimate.status.is_converged());
             prop_assert_eq!(never_estimate.samples, max_samples);
             prop_assert_eq!(never_estimate.successes, 0);
-            prop_assert_eq!(never_estimate.value, 0.0);
-            // … and `estimate_batch` routes OptimalStopping to the same
-            // adaptive loop.
+            prop_assert_eq!(never_estimate.estimate, 0.0);
+            // … and `estimate_batch_with_budget` routes OptimalStopping to
+            // the same adaptive loop.
             let routed = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(routed, estimates);
         }
@@ -516,16 +538,36 @@ proptest! {
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
             let planned_bank = estimator.compile_bank(&bank).unwrap();
-            let unplanned_bank = estimator.compile_bank_unplanned(&bank).unwrap();
+            let refs: Vec<_> = bank.iter().map(|q| (q.evaluator, q.candidate)).collect();
+            let unplanned_bank = uocqa::query::LineageBank::compile_unplanned(&db, &refs).unwrap();
             let planned = estimator
-                .estimate_batch_with_bank(&planned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_with_bank(
+                    &planned_bank,
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    None,
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             let unplanned = estimator
-                .estimate_batch_with_bank(&unplanned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_with_bank(
+                    &unplanned_bank,
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    None,
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(&planned, &unplanned, "spec {}", spec.short_name());
             let routed = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(&planned, &routed, "spec {}", spec.short_name());
         }
@@ -617,10 +659,20 @@ proptest! {
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
             let s_estimates = estimator
-                .estimate_batch(&s_batch, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &s_batch,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             let c_estimates = estimator
-                .estimate_batch(&c_batch, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &c_batch,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(&s_estimates, &c_estimates, "spec {}", spec.short_name());
         }
@@ -672,18 +724,25 @@ proptest! {
     }
 }
 
-/// `estimate_fixed_parallel` returns bit-identical results for a fixed
-/// master seed regardless of the number of worker threads, and the
+/// The sharded fixed-sample loop returns bit-identical results for a
+/// fixed master seed regardless of the number of worker threads, and the
 /// end-to-end `estimate_parallel` agrees with the exact probability.
 #[test]
 fn parallel_estimation_is_deterministic_across_thread_counts() {
     use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
-    use uocqa::core::montecarlo::estimate_fixed_parallel;
+    use uocqa::core::montecarlo::estimate_fixed_batch_parallel;
 
-    // Raw estimator: a plain Bernoulli experiment.
-    let raw_baseline = estimate_fixed_parallel(2024, 100_003, 1_024, || {
-        |rng: &mut StdRng| rng.random_bool(0.35)
-    });
+    // Raw estimator: a plain Bernoulli experiment as a bank of one.
+    let raw = || {
+        estimate_fixed_batch_parallel(2024, 100_003, 1_024, 1, || {
+            |rng: &mut StdRng, successes: &mut [u64]| {
+                if rng.random_bool(0.35) {
+                    successes[0] += 1;
+                }
+            }
+        })
+    };
+    let raw_baseline = raw();
     assert_eq!(raw_baseline.samples, 100_003);
 
     // End-to-end: the uniform-repairs FPRAS over a seeded block workload.
@@ -703,12 +762,11 @@ fn parallel_estimation_is_deterministic_across_thread_counts() {
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let raw = pool.install(|| {
-            estimate_fixed_parallel(2024, 100_003, 1_024, || {
-                |rng: &mut StdRng| rng.random_bool(0.35)
-            })
-        });
-        assert_eq!(raw, raw_baseline, "raw outcome with {threads} threads");
+        assert_eq!(
+            pool.install(raw),
+            raw_baseline,
+            "raw outcome with {threads} threads"
+        );
         let estimate = pool
             .install(|| estimator.estimate_parallel(&evaluator, &candidate, params, 77))
             .unwrap();
@@ -723,11 +781,11 @@ fn parallel_estimation_is_deterministic_across_thread_counts() {
     // none, uniformly over 4 outcomes, so the candidate fact survives with
     // probability exactly 1/4.
     let exact = 0.25;
-    let relative_error = (estimate_baseline.value - exact).abs() / exact;
+    let estimate = estimate_baseline.queries[0].estimate;
+    let relative_error = (estimate - exact).abs() / exact;
     assert!(
         relative_error < 0.1,
-        "exact {exact}, parallel estimate {} (relative error {relative_error})",
-        estimate_baseline.value
+        "exact {exact}, parallel estimate {estimate} (relative error {relative_error})"
     );
 }
 
@@ -765,7 +823,7 @@ fn parallel_batched_estimation_is_deterministic_across_thread_counts() {
             .estimator()
             .estimate_parallel(query.evaluator, query.candidate, params, 77)
             .unwrap();
-        assert_eq!(baseline[i], single, "query {i}");
+        assert_eq!(baseline.queries[i], single.queries[0], "query {i}");
     }
 }
 
@@ -790,7 +848,12 @@ proptest! {
         let estimator =
             BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let uninterrupted = estimator
-            .estimate_stopping_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            .estimate_stopping_batch_with_budget(
+                &bank,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(seed),
+            )
             .unwrap();
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -799,7 +862,7 @@ proptest! {
         let partial = estimator
             .estimate_stopping_batch_with_budget(&bank, params, &budget, &mut rng)
             .unwrap();
-        if cut < uninterrupted[0].samples {
+        if cut < uninterrupted.queries[0].samples {
             // The token fired while the query was still live.
             prop_assert_eq!(partial.total_draws, cut);
             prop_assert_eq!(partial.queries[0].status, BudgetStatus::Cancelled);
@@ -808,21 +871,21 @@ proptest! {
             // The query retired before the token tripped: converged
             // values are kept, bit-identical to the uninterrupted run.
             prop_assert_eq!(partial.queries[0].status, BudgetStatus::Converged);
-            prop_assert_eq!(partial.queries[0].samples, uninterrupted[0].samples);
+            prop_assert_eq!(partial.queries[0].samples, uninterrupted.queries[0].samples);
         }
+        let compiled = estimator.compile_bank(&bank).unwrap();
         let resumed = estimator
-            .estimate_stopping_batch_resume(
+            .estimate_with_bank(
+                &compiled,
                 &bank,
                 params,
                 &RunBudget::unlimited(),
-                &partial,
+                Some(&partial),
                 &mut rng,
             )
             .unwrap();
         prop_assert_eq!(resumed.queries[0].status, BudgetStatus::Converged);
-        prop_assert_eq!(resumed.queries[0].estimate, uninterrupted[0].value);
-        prop_assert_eq!(resumed.queries[0].samples, uninterrupted[0].samples);
-        prop_assert_eq!(resumed.queries[0].successes, uninterrupted[0].successes);
+        prop_assert_eq!(resumed, uninterrupted);
     }
 }
 
@@ -1050,11 +1113,21 @@ proptest! {
         for spec in all_specs() {
             let a = BatchEstimator::new(&one_by_one, &sigma, spec)
                 .unwrap()
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             let b = BatchEstimator::new(&bulk, &sigma, spec)
                 .unwrap()
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_batch_with_budget(
+                    &bank,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(&a, &b, "spec {}", spec.short_name());
         }
@@ -1221,10 +1294,24 @@ proptest! {
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
             let refreshed = estimator
-                .estimate_batch_with_bank(&bank, &batch, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_with_bank(
+                    &bank,
+                    &batch,
+                    params,
+                    &RunBudget::unlimited(),
+                    None,
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             let fresh = estimator
-                .estimate_batch_with_bank(&recompiled, &batch, params, &mut StdRng::seed_from_u64(seed))
+                .estimate_with_bank(
+                    &recompiled,
+                    &batch,
+                    params,
+                    &RunBudget::unlimited(),
+                    None,
+                    &mut StdRng::seed_from_u64(seed),
+                )
                 .unwrap();
             prop_assert_eq!(&refreshed, &fresh, "spec {}", spec.short_name());
         }

@@ -127,19 +127,23 @@ proptest! {
                     .with_mode(EstimatorMode::FixedSamples(24));
                 let live_queries = stream_queries(w.db());
                 let windowed = windowed_batch_estimator(&w, spec)
-                    .estimate_batch_with_bank(
+                    .estimate_with_bank(
                         w.bank(),
                         &batch_refs(&live_queries),
                         params,
+                        &RunBudget::unlimited(),
+                        None,
                         &mut StdRng::seed_from_u64(est_seed),
                     )
                     .unwrap();
                 let scratch = BatchEstimator::new(&scratch_db, &sigma, spec)
                     .unwrap()
-                    .estimate_batch_with_bank(
+                    .estimate_with_bank(
                         &scratch_bank,
                         &batch_refs(&scratch_queries),
                         params,
+                        &RunBudget::unlimited(),
+                        None,
                         &mut StdRng::seed_from_u64(est_seed),
                     )
                     .unwrap();
