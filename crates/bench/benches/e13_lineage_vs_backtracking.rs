@@ -4,8 +4,9 @@
 //! The FPRAS hot loop asks "does this sampled repair entail the query?"
 //! millions of times against one fixed database.  This bench isolates that
 //! check: a pool of repairs is pre-sampled, then each iteration runs one
-//! entailment check via (a) the compiled-lineage witness scan and (b) the
-//! backtracking evaluator, at growing database sizes.  A third group
+//! entailment check via (a) the compiled-lineage witness scan of a bank of
+//! one (`LineageBank::evaluate_into`, the check every estimate runs) and
+//! (b) the backtracking evaluator, at growing database sizes.  A third group
 //! measures the end-to-end estimator throughput with the compiled pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +19,7 @@ use ucqa_core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::RunBudget;
 use ucqa_db::FactSet;
-use ucqa_query::{CompiledLineage, QueryEvaluator};
+use ucqa_query::{BankScratch, LineageBank, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::block_lookup_query, BlockWorkload};
 
@@ -44,18 +45,20 @@ fn bench_lineage_vs_backtracking(c: &mut Criterion) {
         let (db, sigma) = BlockWorkload::uniform(blocks, 4, 23).generate();
         let (query, candidate) = block_lookup_query(&db, 5).expect("valid query");
         let evaluator = QueryEvaluator::new(query);
-        let lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-            .expect("arity ok")
-            .expect("under witness cap");
+        let lineage = LineageBank::compile(&db, &[(&evaluator, &candidate)]).expect("arity ok");
+        assert!(!lineage.is_fallback(0), "under witness cap");
         let sampler = RepairSampler::new(&db, &sigma).expect("primary keys");
         let pool = repair_pool(&sampler, db.len(), 64);
 
         group.bench_with_input(BenchmarkId::new("lineage", db.len()), &db.len(), |b, _| {
             let mut index = 0usize;
+            let mut scratch = BankScratch::new();
+            let mut hits = [false];
             b.iter(|| {
                 let repair = &pool[index % pool.len()];
                 index += 1;
-                black_box(lineage.entails(repair))
+                lineage.evaluate_into(repair, &mut scratch, &mut hits);
+                black_box(hits[0])
             })
         });
         group.bench_with_input(

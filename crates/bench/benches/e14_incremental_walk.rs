@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
+use ucqa_bench::baselines::{rescan_walk_into, RescanScratch};
 use ucqa_core::sample_operations::{OperationWalkSampler, WalkScratch};
 use ucqa_db::FactSet;
 use ucqa_workload::MultiFdWorkload;
@@ -39,8 +40,8 @@ fn bench_incremental_walk(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("rescan", facts), &facts, |b, _| {
                 let mut rng = StdRng::seed_from_u64(7);
                 let mut repair = FactSet::empty(db.len());
-                let mut scratch = WalkScratch::new();
-                b.iter(|| sampler.sample_result_rescan_into(&mut rng, &mut repair, &mut scratch))
+                let mut scratch = RescanScratch::new();
+                b.iter(|| rescan_walk_into(&db, &sigma, &mut rng, &mut repair, &mut scratch))
             });
         }
     }

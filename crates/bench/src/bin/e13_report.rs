@@ -1,6 +1,8 @@
 //! Produces `BENCH_e13.json`: sample-throughput numbers for the compiled
 //! lineage + reused-bitset sampling pipeline vs. the backtracking
-//! evaluator, on the e12-style scaling workload.
+//! evaluator, on the e12-style scaling workload.  The compiled check is
+//! a bank of one's `LineageBank::evaluate_into` — the per-draw check
+//! every estimate runs.
 //!
 //! ```text
 //! cargo run -p ucqa-bench --release --bin e13_report [-- [--smoke] [output.json]]
@@ -24,7 +26,7 @@ use ucqa_core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::RunBudget;
 use ucqa_db::FactSet;
-use ucqa_query::{CompiledLineage, QueryEvaluator};
+use ucqa_query::{BankScratch, LineageBank, QueryEvaluator};
 use ucqa_repair::GeneratorSpec;
 use ucqa_workload::{queries::block_lookup_query, BlockWorkload};
 
@@ -38,9 +40,8 @@ fn main() {
         let n = db.len();
         let (query, candidate) = block_lookup_query(&db, 5).expect("valid query");
         let evaluator = QueryEvaluator::new(query);
-        let lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-            .expect("arity ok")
-            .expect("under witness cap");
+        let lineage = LineageBank::compile(&db, &[(&evaluator, &candidate)]).expect("arity ok");
+        assert!(!lineage.is_fallback(0), "under witness cap");
 
         // A fixed pool of sampled repairs, shared by both check paths.
         let sampler = RepairSampler::new(&db, &sigma).expect("primary keys");
@@ -55,10 +56,13 @@ fn main() {
 
         let check_iters = 200_000u64;
         let mut index = 0usize;
+        let mut scratch = BankScratch::new();
+        let mut hits = [false];
         let (lineage_ns, _) = time_routine(check_iters, || {
             let repair = &pool[index % pool.len()];
             index += 1;
-            std::hint::black_box(lineage.entails(repair));
+            lineage.evaluate_into(repair, &mut scratch, &mut hits);
+            std::hint::black_box(hits[0]);
         });
         let mut index = 0usize;
         let backtracking_iters = if n >= 1000 { 20_000 } else { check_iters };

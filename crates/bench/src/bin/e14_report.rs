@@ -22,6 +22,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use ucqa_bench::baselines::{rescan_walk_into, RescanScratch};
 use ucqa_bench::experiments::{emit_report, report_args, time_routine};
 use ucqa_core::sample_operations::{OperationWalkSampler, WalkScratch};
 use ucqa_db::FactSet;
@@ -59,8 +60,9 @@ fn main() {
             sampler.sample_result_into(&mut rng, &mut repair, &mut scratch)
         });
         let mut rng = StdRng::seed_from_u64(7);
+        let mut rescan_scratch = RescanScratch::new();
         let (_, rescan_wps) = time_routine(rescan_walks, || {
-            sampler.sample_result_rescan_into(&mut rng, &mut repair, &mut scratch)
+            rescan_walk_into(&db, &sigma, &mut rng, &mut repair, &mut rescan_scratch)
         });
         let speedup = index_wps / rescan_wps;
 
@@ -84,7 +86,7 @@ fn main() {
         "{{\n  \"experiment\": \"e14_incremental_walk\",\n  \
          \"workload\": \"MultiFdWorkload::scaling(facts, seed 42)\",\n  \
          \"walk\": \"OperationWalkSampler::sample_result_into (index) vs \
-         sample_result_rescan_into (baseline), pair + singleton operations\",\n  \
+         baselines::rescan_walk_into (baseline), pair + singleton operations\",\n  \
          \"sizes\": [{sizes}\n  ]\n}}\n"
     );
     emit_report("e14", smoke, &output, &json);

@@ -256,7 +256,7 @@ fn main() {
             let (bank, stats) = LineageBank::compile_instrumented(
                 &db,
                 &refs,
-                ucqa_query::lineage::DEFAULT_WITNESS_CAP,
+                ucqa_query::DEFAULT_WITNESS_CAP,
                 &CompileBudget::unlimited(),
             )
             .expect("bank compiles");

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod report;
 

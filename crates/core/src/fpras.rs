@@ -18,8 +18,7 @@
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
-use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
-use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator};
+use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator, DEFAULT_WITNESS_CAP};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
 use crate::bounds;

@@ -1,25 +1,31 @@
-//! A bank of compiled lineages: many queries, one shared witness arena.
+//! Compiled query lineage: many queries, one shared witness arena.
 //!
-//! The batched FPRAS drivers of `ucqa-core` estimate `k` queries over the
-//! **same** database by sampling each operational repair once and checking
-//! it against every query.  Compiling `k` independent
-//! [`CompiledLineage`]s would re-materialise shared witnesses (identical
-//! queries, overlapping joins) and re-scan them per query;
-//! [`LineageBank`] instead compiles all `(query, candidate)` pairs into
-//! one deduplicated arena of witness bitsets.  Each query keeps a bitmask
-//! over the arena selecting its own minimal antichain, so the per-sample
-//! batched check is:
+//! The FPRAS drivers of `ucqa-core` reduce uniform operational CQA to
+//! drawing Bernoulli samples of the form *"does this sampled repair
+//! entail the query (with the candidate answer)?"*.  Every repair is a
+//! subset `D' ⊆ D` of one fixed database, and conjunctive queries are
+//! monotone, so the entailment predicate is a fixed monotone Boolean
+//! function of the fact bits: `D' ⊨ Q(c̄)` iff the image of **some**
+//! homomorphism `h` with `h(x̄) = c̄` survives in `D'`.
+//!
+//! [`LineageBank`] materialises that function once for a whole bank of
+//! `(query, candidate)` pairs over the same database — a single query is
+//! a bank of one.  It enumerates the homomorphism images up front and
+//! compiles them, per entry, into a minimal antichain of witnesses, stored
+//! in one deduplicated arena of witness bitsets (identical queries and
+//! overlapping joins share witnesses).  Each entry keeps a bitmask over
+//! the arena selecting its own antichain, so the per-sample check is:
 //!
 //! 1. one containment scan over the *distinct* witnesses (word-level
 //!    "witness ⊆ repair", each checked exactly once per draw), then
 //! 2. one word-level `mask ∧ contained ≠ 0` pass per query.
 //!
-//! Per-query booleans are **bit-identical** to `CompiledLineage::entails`
-//! on the same repair: the mask selects exactly the query's own antichain,
-//! so sharing changes the cost, never the outcome.  Queries whose witness
-//! enumeration overflows the cap are kept as [fallback](LineageBank::is_fallback)
-//! entries — the caller routes those through the backtracking evaluator
-//! while the rest of the bank stays on the bitset path.
+//! Witness enumeration is capped per entry (query lineage can be
+//! exponential in the query size, [`DEFAULT_WITNESS_CAP`]); entries whose
+//! enumeration overflows the cap are kept as
+//! [fallback](LineageBank::is_fallback) entries — the caller routes those
+//! through the backtracking evaluator while the rest of the bank stays on
+//! the bitset path.
 //!
 //! **Compilation is shared too.**  [`LineageBank::compile`] does not run
 //! one witness enumeration per entry: it grounds every `(query,
@@ -49,9 +55,17 @@ use ucqa_db::{
     ConflictStructure, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value,
 };
 
-use crate::lineage::DEFAULT_WITNESS_CAP;
 use crate::plan::{candidate_facts, match_and_bind, unbind, SymAtom, SymTerm};
-use crate::{CompiledLineage, QueryError, QueryEvaluator};
+use crate::{QueryError, QueryEvaluator};
+
+/// Default per-entry cap on the number of witnesses materialised by
+/// [`LineageBank::compile`].
+///
+/// `4096` witnesses × a 1 000-fact universe is ~64 KiB of bitset words —
+/// comfortably cache-resident — while the linear witness scan stays far
+/// cheaper than a backtracking search that would re-derive those same
+/// homomorphisms on every sample.
+pub const DEFAULT_WITNESS_CAP: usize = 4096;
 
 /// `a ⊆ b` over sorted, deduplicated fact-id lists (sorted-merge scan).
 fn sorted_subset(a: &[FactId], b: &[FactId]) -> bool {
@@ -68,11 +82,13 @@ fn sorted_subset(a: &[FactId], b: &[FactId]) -> bool {
     true
 }
 
-/// The id-list counterpart of `lineage::minimal_antichain`: duplicates and
-/// supersets absorbed, survivors in ascending cardinality order.  Working
-/// on sorted fact-id lists keeps the sort/dedup/containment passes
-/// proportional to the witness *sizes* (a handful of ids) instead of the
-/// universe size, which is what makes shared bank compilation cheap on
+/// Reduces one entry's raw witness images to its minimal monotone-DNF
+/// antichain: duplicates and supersets absorbed (`w ⊆ w'` makes `w'`
+/// redundant), survivors in ascending cardinality order (smaller
+/// witnesses are cheaper to check and more likely to be contained).
+/// Working on sorted fact-id lists keeps the sort/dedup/containment
+/// passes proportional to the witness *sizes* (a handful of ids) instead
+/// of the universe size, which is what makes bank compilation cheap on
 /// large databases.
 fn minimal_antichain_images(mut raw: Vec<Vec<FactId>>) -> Vec<Vec<FactId>> {
     raw.sort_unstable();
@@ -92,6 +108,78 @@ fn minimal_antichain_images(mut raw: Vec<Vec<FactId>>) -> Vec<Vec<FactId>> {
         }
     }
     witnesses
+}
+
+/// One homomorphism image as a witness id-list: sorted, deduplicated.
+fn witness_ids(image: &[FactId]) -> Vec<FactId> {
+    let mut ids = image.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Assembles a bank entry by entry: each entry's raw witness images are
+/// reduced to their minimal antichain, and every *distinct* witness is
+/// interned once into the shared arena (materialised as a bitset only
+/// there) and selected by the entry's mask.  Shared by every path that
+/// builds a bank — shared compile, unplanned compile and refresh — so all
+/// of them lay out the arena the same way from the same raw images.
+struct ArenaBuilder {
+    universe: usize,
+    witnesses: Vec<FactSet>,
+    arena_index: HashMap<Vec<FactId>, usize>,
+    entries: Vec<BankEntry>,
+}
+
+impl ArenaBuilder {
+    fn new(universe: usize, entries: usize) -> Self {
+        ArenaBuilder {
+            universe,
+            witnesses: Vec::new(),
+            arena_index: HashMap::new(),
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends the next entry: `None` marks a fallback entry, `Some` its
+    /// raw witness id-lists (duplicates and supersets allowed).
+    fn push(&mut self, raw: Option<Vec<Vec<FactId>>>) {
+        let Some(raw) = raw else {
+            self.entries.push(BankEntry::Fallback);
+            return;
+        };
+        let mut mask = Vec::new();
+        for witness in minimal_antichain_images(raw) {
+            // Probe before moving: witnesses shared with an earlier
+            // entry cost a lookup, not an arena slot.
+            let index = match self.arena_index.get(&witness) {
+                Some(&index) => index,
+                None => {
+                    let index = self.witnesses.len();
+                    self.witnesses
+                        .push(FactSet::from_iter(self.universe, witness.iter().copied()));
+                    self.arena_index.insert(witness, index);
+                    index
+                }
+            };
+            let word = index / 64;
+            if mask.len() <= word {
+                mask.resize(word + 1, 0u64);
+            }
+            mask[word] |= 1u64 << (index % 64);
+        }
+        self.entries.push(BankEntry::Compiled { mask });
+    }
+
+    /// The assembled bank, current with changelog version `version`.
+    fn finish(self, version: u64) -> LineageBank {
+        LineageBank {
+            universe: self.universe,
+            witnesses: self.witnesses,
+            entries: self.entries,
+            version,
+        }
+    }
 }
 
 /// One query of a bank entry: an evaluator plus the candidate tuple.
@@ -219,9 +307,9 @@ pub struct LineageBank {
 
 impl LineageBank {
     /// Compiles a bank over `db` with the default per-query witness cap
-    /// ([`DEFAULT_WITNESS_CAP`], the same cap as single-query
-    /// compilation, so a query falls back in the bank iff it falls back
-    /// standalone).
+    /// ([`DEFAULT_WITNESS_CAP`]; an entry's fallback decision depends only
+    /// on its own enumeration, so a query falls back in a bank iff it
+    /// falls back in a bank of one).
     ///
     /// Candidate arities are validated for **every** query before any
     /// sampling can start; the first mismatch aborts compilation.
@@ -236,9 +324,9 @@ impl LineageBank {
     /// (`QueryEvaluator::grounded_answer_atoms`), the sequences are
     /// factored into a scan trie, and witnesses for the whole bank are
     /// enumerated in one indexed pass over the trie.  Per entry, the
-    /// witness set (and the fallback decision) is identical to a
-    /// standalone [`CompiledLineage::compile_with_cap`] — sharing changes
-    /// the compile cost, never the result.
+    /// witness set (and the fallback decision) is identical to that entry
+    /// compiled as a bank of one — sharing changes the compile cost, never
+    /// the result.
     pub fn compile_with_cap(
         db: &Database,
         queries: &[BankQueryRef<'_>],
@@ -300,53 +388,21 @@ impl LineageBank {
         // Witnesses are kept as sorted fact-id lists until here —
         // sparse-friendly to sort, hash and containment-check — and only
         // the *distinct* arena survivors are materialised as bitsets.
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<Vec<FactId>, usize> = HashMap::new();
-        let mut entries = Vec::with_capacity(queries.len());
-        for (entry, raw) in raw.into_iter().enumerate() {
-            if overflowed[entry] {
-                entries.push(BankEntry::Fallback);
-                continue;
-            }
-            let mut mask = Vec::new();
-            for witness in minimal_antichain_images(raw) {
-                // Probe before moving: witnesses shared with an earlier
-                // query cost a lookup, not an arena slot.
-                let index = match arena_index.get(&witness) {
-                    Some(&index) => index,
-                    None => {
-                        let index = witnesses.len();
-                        witnesses.push(FactSet::from_iter(universe, witness.iter().copied()));
-                        arena_index.insert(witness, index);
-                        index
-                    }
-                };
-                let word = index / 64;
-                if mask.len() <= word {
-                    mask.resize(word + 1, 0u64);
-                }
-                mask[word] |= 1u64 << (index % 64);
-            }
-            entries.push(BankEntry::Compiled { mask });
+        let mut arena = ArenaBuilder::new(universe, queries.len());
+        for (raw, overflowed) in raw.into_iter().zip(overflowed) {
+            arena.push((!overflowed).then_some(raw));
         }
-        Ok((
-            LineageBank {
-                universe,
-                witnesses,
-                entries,
-                version: db.version(),
-            },
-            stats,
-        ))
+        Ok((arena.finish(db.version()), stats))
     }
 
     /// As [`LineageBank::compile`], on the **unplanned baseline**: one
     /// naive backtracking enumeration pass per `(query, candidate)` entry
-    /// (via [`CompiledLineage::compile_unplanned`]), no prefix sharing.
-    /// The witness arena holds the same witness sets as the shared
-    /// compile; only the compile cost differs.  This is the pre-refactor
-    /// behaviour, kept as the measured baseline of the `e17` bench and the
-    /// cross-check of the property tests.
+    /// ([`QueryEvaluator::for_each_answer_image_unplanned`]: body-order
+    /// atoms, whole-relation scans), no prefix sharing.  Every entry holds
+    /// the same witness set and makes the same fallback decision as in the
+    /// shared compile; only the compile cost differs.  This is the
+    /// pre-refactor behaviour, kept as the measured baseline of the `e17`
+    /// bench and the cross-check of the property tests.
     pub fn compile_unplanned(
         db: &Database,
         queries: &[BankQueryRef<'_>],
@@ -360,41 +416,20 @@ impl LineageBank {
         queries: &[BankQueryRef<'_>],
         cap: usize,
     ) -> Result<Self, QueryError> {
-        let universe = db.len();
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<FactSet, usize> = HashMap::new();
-        let mut entries = Vec::with_capacity(queries.len());
+        let all = db.all_facts();
+        let mut arena = ArenaBuilder::new(db.len(), queries.len());
         for &(evaluator, candidate) in queries {
-            match CompiledLineage::compile_unplanned_with_cap(evaluator, db, candidate, cap)? {
-                None => entries.push(BankEntry::Fallback),
-                Some(lineage) => {
-                    let mut mask = Vec::new();
-                    for witness in lineage.witnesses() {
-                        let index = match arena_index.get(witness) {
-                            Some(&index) => index,
-                            None => {
-                                let index = witnesses.len();
-                                arena_index.insert(witness.clone(), index);
-                                witnesses.push(witness.clone());
-                                index
-                            }
-                        };
-                        let word = index / 64;
-                        if mask.len() <= word {
-                            mask.resize(word + 1, 0u64);
-                        }
-                        mask[word] |= 1u64 << (index % 64);
-                    }
-                    entries.push(BankEntry::Compiled { mask });
-                }
-            }
+            let mut raw: Vec<Vec<FactId>> = Vec::new();
+            let overflowed =
+                evaluator.for_each_answer_image_unplanned(db, &all, candidate, |image| {
+                    raw.push(witness_ids(image));
+                    // One past the cap is enough to know this entry must
+                    // fall back to the evaluator.
+                    raw.len() > cap
+                })?;
+            arena.push((!overflowed).then_some(raw));
         }
-        Ok(LineageBank {
-            universe,
-            witnesses,
-            entries,
-            version: db.version(),
-        })
+        Ok(arena.finish(db.version()))
     }
 
     /// Incrementally refreshes the bank after database mutations, with the
@@ -528,12 +563,10 @@ impl LineageBank {
             }
         }
         let all = db.all_facts();
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<Vec<FactId>, usize> = HashMap::new();
-        let mut entries = Vec::with_capacity(self.entries.len());
+        let mut arena = ArenaBuilder::new(universe, self.entries.len());
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
             if self.is_fallback(entry) {
-                entries.push(BankEntry::Fallback);
+                arena.push(None);
                 continue;
             }
             // Survivors first, as sorted id lists (`FactSet::iter` is
@@ -546,48 +579,19 @@ impl LineageBank {
                     raw.push(witness.iter().collect());
                 }
             }
-            let mut over_cap = false;
-            evaluator.for_each_delta_answer_image(
+            let over_cap = evaluator.for_each_delta_answer_image(
                 db,
                 &all,
                 candidate,
                 &inserted_by_relation,
                 |image| {
-                    let mut ids = image.to_vec();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    raw.push(ids);
-                    over_cap = raw.len() > cap;
-                    over_cap
+                    raw.push(witness_ids(image));
+                    raw.len() > cap
                 },
             )?;
-            if over_cap {
-                entries.push(BankEntry::Fallback);
-                continue;
-            }
-            let mut mask = Vec::new();
-            for witness in minimal_antichain_images(raw) {
-                let index = match arena_index.get(&witness) {
-                    Some(&index) => index,
-                    None => {
-                        let index = witnesses.len();
-                        witnesses.push(FactSet::from_iter(universe, witness.iter().copied()));
-                        arena_index.insert(witness, index);
-                        index
-                    }
-                };
-                let word = index / 64;
-                if mask.len() <= word {
-                    mask.resize(word + 1, 0u64);
-                }
-                mask[word] |= 1u64 << (index % 64);
-            }
-            entries.push(BankEntry::Compiled { mask });
+            arena.push((!over_cap).then_some(raw));
         }
-        self.universe = universe;
-        self.witnesses = witnesses;
-        self.entries = entries;
-        self.version = db.version();
+        *self = arena.finish(db.version());
         Ok(applied)
     }
 
@@ -1200,15 +1204,7 @@ impl ScanTrie {
                         .collect();
                     ids.sort_unstable();
                     ids.dedup();
-                    for &entry in &emit_node.terminals {
-                        if !overflowed[entry] {
-                            raw[entry].push(ids.clone());
-                            if raw[entry].len() > cx.cap {
-                                overflowed[entry] = true;
-                                raw[entry] = Vec::new();
-                            }
-                        }
-                    }
+                    emit(&emit_node.terminals, &ids, cx.cap, raw, overflowed);
                 }
                 return true;
             }
@@ -1241,20 +1237,13 @@ impl ScanTrie {
             if !node.terminals.is_empty() {
                 // Normalise the image once per match, not once per
                 // terminal (duplicate entries share one terminal list).
-                let mut ids = state.image.clone();
-                ids.sort_unstable();
-                ids.dedup();
-                for &entry in &node.terminals {
-                    if !overflowed[entry] {
-                        raw[entry].push(ids.clone());
-                        // One past the cap is enough to know this entry
-                        // must fall back to the evaluator.
-                        if raw[entry].len() > cx.cap {
-                            overflowed[entry] = true;
-                            raw[entry] = Vec::new();
-                        }
-                    }
-                }
+                emit(
+                    &node.terminals,
+                    &witness_ids(&state.image),
+                    cx.cap,
+                    raw,
+                    overflowed,
+                );
             }
             for &child in &node.children {
                 if !self.visit(cx, state, child, raw, overflowed) {
@@ -1357,6 +1346,27 @@ impl ScanTrie {
             unbind(&node.atom.terms, bound_here, &mut state.bindings);
         }
         true
+    }
+}
+
+/// Pushes one normalised witness image to every terminal entry that has
+/// not overflowed yet.  One past the cap is enough to know an entry must
+/// fall back to the evaluator: it is flagged and its witnesses dropped.
+fn emit(
+    terminals: &[usize],
+    ids: &[FactId],
+    cap: usize,
+    raw: &mut [Vec<Vec<FactId>>],
+    overflowed: &mut [bool],
+) {
+    for &entry in terminals {
+        if !overflowed[entry] {
+            raw[entry].push(ids.to_vec());
+            if raw[entry].len() > cap {
+                overflowed[entry] = true;
+                raw[entry] = Vec::new();
+            }
+        }
     }
 }
 
@@ -1610,27 +1620,52 @@ mod tests {
     #[test]
     fn bank_agrees_with_independent_lineages_on_all_subsets() {
         let db = blocks_db();
-        let evals = evaluators(
-            &db,
-            &[
-                "Ans() :- R(1, x)",
-                "Ans() :- R(x, y), R(z, y)",
-                "Ans() :- R(1, x), R(2, x)",
-                "Ans() :- R(9, 9)",
-            ],
-        );
+        let texts = [
+            "Ans() :- R(1, x)",
+            "Ans() :- R(x, y), R(z, y)",
+            "Ans() :- R(1, x), R(2, x)",
+            "Ans() :- R(9, 9)",
+        ];
+        let evals = evaluators(&db, &texts);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let singles: Vec<CompiledLineage> = evals
+        let singles: Vec<LineageBank> = queries
             .iter()
-            .map(|e| CompiledLineage::compile(e, &db, &[]).unwrap().unwrap())
+            .map(|q| LineageBank::compile(&db, std::slice::from_ref(q)).unwrap())
             .collect();
         let mut scratch = BankScratch::new();
         let mut hits = vec![false; bank.len()];
+        let mut single_hit = [false];
         for subset in subsets(db.len()) {
             bank.evaluate_into(&subset, &mut scratch, &mut hits);
             for (i, single) in singles.iter().enumerate() {
-                assert_eq!(hits[i], single.entails(&subset), "query {i}, {subset:?}");
+                single.evaluate_into(&subset, &mut scratch, &mut single_hit);
+                assert_eq!(hits[i], single_hit[0], "query {}, {subset:?}", texts[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn entails_agrees_with_the_evaluator_on_all_subsets() {
+        let db = blocks_db();
+        for (text, candidate) in [
+            ("Ans(x) :- R(1, x)", vec![Value::int(1)]),
+            ("Ans() :- R(x, y), R(z, y)", vec![]),
+            ("Ans() :- R(1, x), R(2, x)", vec![]),
+            ("Ans() :- R(9, 9)", vec![]),
+        ] {
+            let evals = evaluators(&db, &[text]);
+            let bank = LineageBank::compile(&db, &[(&evals[0], &candidate)]).unwrap();
+            assert!(!bank.is_fallback(0), "under cap");
+            let mut scratch = BankScratch::new();
+            let mut hits = [false];
+            for subset in subsets(db.len()) {
+                bank.evaluate_into(&subset, &mut scratch, &mut hits);
+                assert_eq!(
+                    hits[0],
+                    evals[0].has_answer(&db, &subset, &candidate).unwrap(),
+                    "query {text}, {subset:?}"
+                );
             }
         }
     }
@@ -1653,9 +1688,8 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(1, x)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let single = CompiledLineage::compile(&evals[0], &db, &[])
-            .unwrap()
-            .unwrap();
+        let single = LineageBank::compile(&db, &queries[..1]).unwrap();
+        assert!(!single.is_fallback(0));
         // The arena holds each witness once, not once per duplicate.
         assert_eq!(bank.witness_count(), single.witness_count());
         assert_eq!(bank.query_witness_count(0), Some(single.witness_count()));
@@ -1941,9 +1975,8 @@ mod tests {
             (&boolean[0], &[] as &[Value]),
         ];
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let single = CompiledLineage::compile(&boolean[0], &db, &[])
-            .unwrap()
-            .unwrap();
+        let single = LineageBank::compile(&db, &queries[2..]).unwrap();
+        assert!(!single.is_fallback(0));
         assert_eq!(bank.query_witness_count(0), Some(single.witness_count()));
         assert_eq!(bank.query_witness_count(2), Some(single.witness_count()));
         // Entries 0 and 2 are the same grounded query: their witnesses
@@ -1953,7 +1986,11 @@ mod tests {
         for subset in subsets(db.len()) {
             bank.evaluate_into(&subset, &mut scratch, &mut hits);
             assert_eq!(hits[0], hits[2], "{subset:?}");
-            assert_eq!(hits[0], single.entails(&subset), "{subset:?}");
+            assert_eq!(
+                hits[0],
+                boolean[0].has_answer(&db, &subset, &[]).unwrap(),
+                "{subset:?}"
+            );
         }
     }
 
@@ -2062,6 +2099,152 @@ mod tests {
         let evals = evaluators(&db, &["Ans(x) :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         assert!(LineageBank::compile(&db, &queries).is_err());
+    }
+
+    /// The entry witnesses of a bank in arena order, as owned bitsets —
+    /// what the bank-of-one tests compare across refreshes.
+    fn owned_witnesses(bank: &LineageBank, entry: usize) -> Option<Vec<FactSet>> {
+        bank.witnesses_of(entry)
+            .map(|ws| ws.into_iter().cloned().collect())
+    }
+
+    #[test]
+    fn witnesses_form_a_minimal_antichain() {
+        let db = blocks_db();
+        // R(x, y), R(z, y): single-fact images (x = z) absorb the two-fact
+        // ones, leaving exactly the five singleton witnesses.
+        let evals = evaluators(&db, &["Ans() :- R(x, y), R(z, y)"]);
+        let bank = LineageBank::compile(&db, &[(&evals[0], &[])]).unwrap();
+        let witnesses = bank.witnesses_of(0).unwrap();
+        assert_eq!(witnesses.len(), 5);
+        assert!(witnesses.iter().all(|w| w.len() == 1));
+        for (i, a) in witnesses.iter().enumerate() {
+            for (j, b) in witnesses.iter().enumerate() {
+                if i != j {
+                    assert!(!a.is_subset_of(b), "witness {i} ⊆ witness {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unsatisfiable_candidates_have_no_witnesses() {
+        let db = blocks_db();
+        let evals = evaluators(&db, &["Ans() :- R(9, 9)"]);
+        let bank = LineageBank::compile(&db, &[(&evals[0], &[])]).unwrap();
+        assert_eq!(bank.query_witness_count(0), Some(0));
+        let mut hits = [true];
+        bank.evaluate_into(&db.all_facts(), &mut BankScratch::new(), &mut hits);
+        assert!(!hits[0]);
+    }
+
+    #[test]
+    fn cap_overflow_makes_a_bank_of_one_fall_back() {
+        let db = blocks_db();
+        let evals = evaluators(&db, &["Ans() :- R(x, y)"]);
+        let queries: [BankQueryRef<'_>; 1] = [(&evals[0], &[])];
+        for compile in [
+            LineageBank::compile_with_cap,
+            LineageBank::compile_unplanned_with_cap,
+        ] {
+            assert!(compile(&db, &queries, 2).unwrap().is_fallback(0));
+            assert!(!compile(&db, &queries, 5).unwrap().is_fallback(0));
+        }
+    }
+
+    #[test]
+    fn refresh_of_a_bank_of_one_matches_a_fresh_compile() {
+        let mut db = blocks_db();
+        for (text, candidate) in [
+            ("Ans(x) :- R(1, x)", vec![Value::int(1)]),
+            ("Ans() :- R(x, y), R(z, y)", vec![]),
+            ("Ans() :- R(1, x), R(2, x)", vec![]),
+            ("Ans() :- R(9, 9)", vec![]),
+        ] {
+            let evals = evaluators(&db, &[text]);
+            let queries: [BankQueryRef<'_>; 1] = [(&evals[0], &candidate)];
+            let mut bank = LineageBank::compile(&db, &queries).unwrap();
+            // No mutations: refresh is a structural no-op.
+            let before = owned_witnesses(&bank, 0);
+            assert_eq!(bank.refresh(&db, &queries).unwrap(), 0);
+            assert_eq!(owned_witnesses(&bank, 0), before, "query {text}");
+            // Insert facts extending block 1 and bridging blocks, and
+            // delete R(2, 1); the refreshed entry must equal — same
+            // witnesses, same order — a compile from scratch.
+            db.insert_values("R", [Value::int(1), Value::int(9)])
+                .unwrap();
+            db.insert_values("R", [Value::int(2), Value::int(9)])
+                .unwrap();
+            let gone = ucqa_db::Fact::new(
+                db.schema().relation_id("R").unwrap(),
+                vec![Value::int(2), Value::int(1)],
+            );
+            db.delete(db.fact_id(&gone).unwrap()).unwrap();
+            assert!(bank.refresh(&db, &queries).unwrap() > 0);
+            let fresh = LineageBank::compile(&db, &queries).unwrap();
+            assert_eq!(
+                owned_witnesses(&bank, 0),
+                owned_witnesses(&fresh, 0),
+                "query {text}"
+            );
+            // Undo for the next query: re-insert what was deleted (new id,
+            // but compile and refresh both see the same database).
+            db.insert_values("R", [Value::int(2), Value::int(1)])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn refresh_grounds_constants_first_interned_by_the_mutations() {
+        let mut db = blocks_db();
+        // 8 is not interned at compile time: the entry compiles to zero
+        // witnesses (never entails).
+        let evals = evaluators(&db, &["Ans() :- R(8, x)"]);
+        let queries: [BankQueryRef<'_>; 1] = [(&evals[0], &[])];
+        let mut bank = LineageBank::compile(&db, &queries).unwrap();
+        assert_eq!(bank.query_witness_count(0), Some(0));
+        db.insert_values("R", [Value::int(8), Value::int(1)])
+            .unwrap();
+        assert_eq!(bank.refresh(&db, &queries).unwrap(), 1);
+        let fresh = LineageBank::compile(&db, &queries).unwrap();
+        assert_eq!(owned_witnesses(&bank, 0), owned_witnesses(&fresh, 0));
+        assert_eq!(bank.query_witness_count(0), Some(1));
+        let mut hits = [false];
+        bank.evaluate_into(&db.all_facts(), &mut BankScratch::new(), &mut hits);
+        assert!(hits[0]);
+    }
+
+    #[test]
+    fn over_cap_refresh_degrades_a_bank_of_one_to_fallback() {
+        let mut db = blocks_db();
+        let evals = evaluators(&db, &["Ans() :- R(1, x)"]);
+        let queries: [BankQueryRef<'_>; 1] = [(&evals[0], &[])];
+        let mut bank = LineageBank::compile_with_cap(&db, &queries, 3).unwrap();
+        assert_eq!(bank.query_witness_count(0), Some(2));
+        for v in 10..14 {
+            db.insert_values("R", [Value::int(1), Value::int(v)])
+                .unwrap();
+        }
+        assert_eq!(bank.refresh_with_cap(&db, &queries, 3).unwrap(), 4);
+        // No partial witness set survives: the entry answers through the
+        // evaluator from now on, and the bank is current.
+        assert!(bank.is_fallback(0));
+        assert_eq!(bank.witness_count(), 0);
+        assert_eq!(bank.version(), db.version());
+        assert_eq!(bank.universe(), db.len());
+    }
+
+    #[test]
+    fn arity_mismatch_is_reported_by_every_compile_path() {
+        let db = blocks_db();
+        let evals = evaluators(&db, &["Ans(x) :- R(1, x)"]);
+        let queries: [BankQueryRef<'_>; 1] = [(&evals[0], &[])];
+        assert!(LineageBank::compile(&db, &queries).is_err());
+        assert!(LineageBank::compile_unplanned(&db, &queries).is_err());
+        let budget = CompileBudget::unlimited().with_max_steps(0);
+        assert!(
+            LineageBank::compile_with_budget(&db, &queries, DEFAULT_WITNESS_CAP, &budget).is_err()
+        );
     }
 
     #[test]

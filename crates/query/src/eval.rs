@@ -17,9 +17,10 @@
 //! only decoded back to [`Value`]s when a full homomorphism is reported.
 //!
 //! The pre-plan behaviour — body order, whole-relation scans — survives as
-//! the `*_unplanned` methods ([`QueryEvaluator::entails_unplanned`],
-//! [`QueryEvaluator::for_each_answer_image_unplanned`], …): the measured
-//! baseline of the `e17` bench and the cross-checking property tests.
+//! two `*_unplanned` methods ([`QueryEvaluator::homomorphisms_unplanned`]
+//! and [`QueryEvaluator::for_each_answer_image_unplanned`]): the measured
+//! baseline of the `e17` bench and the independent reference the
+//! cross-checking tests compare the planned paths against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -401,8 +402,7 @@ impl QueryEvaluator {
     /// As [`QueryEvaluator::for_each_answer_image`], restricted to images
     /// that touch at least one fact of `inserted_by_relation` (one
     /// ascending fact-id list per relation id) — the delta enumeration
-    /// backend of [`crate::CompiledLineage::refresh`] and
-    /// [`crate::LineageBank::refresh`].
+    /// backend of [`crate::LineageBank::refresh`].
     ///
     /// Runs one pinned pass of the answer plan per plan step (step `p`
     /// draws its candidates from the inserted facts of its relation, all
@@ -472,50 +472,6 @@ impl QueryEvaluator {
             },
         );
         results
-    }
-
-    /// As [`QueryEvaluator::entails`], on the unplanned baseline.
-    pub fn entails_unplanned(&self, db: &Database, subset: &FactSet) -> bool {
-        let Some(encoded) = self.encode_atoms(db) else {
-            return false;
-        };
-        let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];
-        let mut image = Vec::new();
-        self.search(
-            db,
-            &encoded,
-            subset,
-            0,
-            &mut bindings,
-            &mut image,
-            &mut |_, _| true,
-        )
-    }
-
-    /// As [`QueryEvaluator::has_answer`], on the unplanned baseline.
-    pub fn has_answer_unplanned(
-        &self,
-        db: &Database,
-        subset: &FactSet,
-        candidate: &[Value],
-    ) -> Result<bool, QueryError> {
-        let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];
-        if !self.prebind_candidate(db.dictionary(), candidate, &mut bindings)? {
-            return Ok(false);
-        }
-        let Some(encoded) = self.encode_atoms(db) else {
-            return Ok(false);
-        };
-        let mut image = Vec::new();
-        Ok(self.search(
-            db,
-            &encoded,
-            subset,
-            0,
-            &mut bindings,
-            &mut image,
-            &mut |_, _| true,
-        ))
     }
 
     /// As [`QueryEvaluator::for_each_answer_image`], on the unplanned
@@ -789,7 +745,9 @@ mod tests {
         let q = parse_query(db.schema(), "Ans() :- V('zzz', x)").unwrap();
         let eval = QueryEvaluator::new(q);
         assert!(!eval.entails(&db, &db.all_facts()));
-        assert!(!eval.entails_unplanned(&db, &db.all_facts()));
+        assert!(eval
+            .homomorphisms_unplanned(&db, &db.all_facts(), Some(1))
+            .is_empty());
         assert!(eval.homomorphisms(&db, &db.all_facts(), None).is_empty());
         let q = parse_query(db.schema(), "Ans(x) :- E(x, y)").unwrap();
         let eval = QueryEvaluator::new(q);
@@ -947,7 +905,9 @@ mod tests {
                 );
                 assert_eq!(
                     eval.entails(&db, &subset),
-                    eval.entails_unplanned(&db, &subset),
+                    !eval
+                        .homomorphisms_unplanned(&db, &subset, Some(1))
+                        .is_empty(),
                     "{text}, mask {mask:b}"
                 );
                 let mut planned: Vec<Homomorphism> = eval.homomorphisms(&db, &subset, None);

@@ -3,11 +3,10 @@
 //! The slot-compiled backtracking evaluator of [`crate::eval`] joins the
 //! query atoms **in the order they were written**, scanning the whole
 //! relation at every step.  That is fine for entailment checks on sampled
-//! repairs (the compiled-lineage bitsets took that job over in PR 1), but
-//! witness *enumeration* — the compile step behind every
-//! [`crate::CompiledLineage`] and [`crate::LineageBank`] entry — still ran
-//! one naive pass per `(query, candidate)`.  This module turns enumeration
-//! into a plan-based pipeline:
+//! repairs (the compiled-lineage bitsets took that job over), but witness
+//! *enumeration* — the compile step behind every [`crate::LineageBank`]
+//! entry — would run one naive pass per `(query, candidate)`.  This
+//! module turns enumeration into a plan-based pipeline:
 //!
 //! * **Atom order** is chosen greedily.  The structural planner
 //!   ([`JoinPlan::build`]) picks the atom with the most bound terms
@@ -18,11 +17,9 @@
 //!   cardinality per step, computed from live [`RelationIndex`]
 //!   statistics: the shortest constant-bound posting run, divided by the
 //!   distinct counts of variable-bound positions, falling back to the
-//!   relation cardinality for pure scans.  [`JoinPlan::build_with_stats`]
-//!   is the older middle ground that keeps coverage ordering and only
-//!   breaks ties with statistics.  Bound-late atoms become indexed
-//!   lookups instead of cross products, and [`JoinPlan::explain`] reports
-//!   the chosen order with per-step estimates.
+//!   relation cardinality for pure scans.  Bound-late atoms become
+//!   indexed lookups instead of cross products, and [`JoinPlan::explain`]
+//!   reports the chosen order with per-step estimates.
 //! * **Access paths**: execution works on dictionary-encoded [`Sym`]
 //!   columns end-to-end.  A step with at least one bound position probes
 //!   the [`RelationIndex`] posting runs (dense `u32`-indexed CSR slices)
@@ -35,14 +32,14 @@
 //!   of the evaluator; nothing is heap-allocated per step (the galloping
 //!   path amortises one scratch buffer over its candidate threshold).
 //!
-//! The planner is purely structural (it only needs the query), so a
-//! [`JoinPlan`] is built once per [`crate::QueryEvaluator`] and reused for
-//! every database subset; the query's [`Value`] constants are encoded to
+//! A [`JoinPlan`] is built once per [`crate::QueryEvaluator`] (against the
+//! database's statistics for the cost-based planner, from the query alone
+//! for the structural one) and reused for every database subset; the query's [`Value`] constants are encoded to
 //! symbols once per evaluator entry point (a constant the dictionary has
 //! never seen matches nothing, so encoding can short-circuit the whole
 //! run).  [`LineageBank::compile`](crate::LineageBank) goes one step
-//! further and factors the *shared prefixes* of many planned queries into
-//! one scan trie — see [`crate::bank`].
+//! further and factors the *shared prefixes and subtrees* of many planned
+//! queries into one scan trie — see [`crate::bank`].
 
 use ucqa_db::{
     intersect_postings, Database, Dictionary, FactId, FactSet, RelationId, RelationIndex, Sym,
@@ -153,8 +150,6 @@ struct PlanStep {
 enum PlanMode<'a> {
     /// Bound coverage only; ties keep the body order.
     Structural,
-    /// Bound coverage first; ties broken by [`atom_cost`] estimates.
-    TieBreak(&'a RelationIndex, &'a Dictionary),
     /// Minimal [`step_estimate`] per step; ties broken by coverage, then
     /// body order.
     Costed(&'a RelationIndex, &'a Dictionary),
@@ -184,37 +179,10 @@ impl JoinPlan {
     ///
     /// Coverage ties go to the earliest body atom — a *stable* choice that
     /// keeps queries sharing a written prefix sharing it after planning
-    /// (which is what lets the bank trie factor it).  For
-    /// cardinality-aware tie-breaking see [`JoinPlan::build_with_stats`].
+    /// (which is what lets the bank trie factor it).  For a cost-based
+    /// order see [`JoinPlan::build_costed`].
     pub fn build(atoms: &[PlanAtom], slot_count: usize, prebound_slots: &[usize]) -> Self {
         JoinPlan::build_inner(atoms, slot_count, prebound_slots, PlanMode::Structural)
-    }
-
-    /// As [`JoinPlan::build`], but breaks coverage ties with exact
-    /// cardinality statistics from `index` (resolving constants through
-    /// `dict`): among equally-covered atoms, the one whose cheapest
-    /// constant-bound posting run ([`RelationIndex::posting_len`]) is
-    /// shortest wins; atoms without a constant-bound position compare by
-    /// an expected-matches estimate (relation cardinality over the
-    /// per-position distinct count of their variable-bound positions),
-    /// and remaining ties keep the body order.
-    ///
-    /// Statistics describe one concrete database, so plans built this way
-    /// are *per-database*; the default [`JoinPlan::build`] stays purely
-    /// structural (and is what the bank trie's prefix sharing relies on).
-    pub fn build_with_stats(
-        atoms: &[PlanAtom],
-        slot_count: usize,
-        prebound_slots: &[usize],
-        index: &RelationIndex,
-        dict: &Dictionary,
-    ) -> Self {
-        JoinPlan::build_inner(
-            atoms,
-            slot_count,
-            prebound_slots,
-            PlanMode::TieBreak(index, dict),
-        )
     }
 
     /// Plans `atoms` by a real cost model: at each step the planner picks
@@ -230,7 +198,7 @@ impl JoinPlan {
     ///
     /// This is the default plan wherever a database is in scope
     /// ([`crate::QueryEvaluator::with_stats`], and through it every
-    /// [`crate::CompiledLineage`] and [`crate::LineageBank`] compile); the
+    /// [`crate::LineageBank`] compile); the
     /// structural [`JoinPlan::build`] order survives as the baseline.
     /// The chosen order never changes *what* is enumerated — witness sets
     /// and fallback decisions are enumeration-order-independent — only how
@@ -272,22 +240,16 @@ impl JoinPlan {
                 let coverage = atoms[atom].bound_positions(&bound).len();
                 let cost = match mode {
                     PlanMode::Structural => 0.0,
-                    PlanMode::TieBreak(index, dict) => atom_cost(&atoms[atom], &bound, index, dict),
                     PlanMode::Costed(index, dict) => {
                         step_estimate(&atoms[atom], &bound, index, dict)
                     }
                 };
-                let improves = match best {
-                    None => true,
-                    Some((_, best_coverage, best_cost)) => match mode {
-                        PlanMode::Costed(..) => {
-                            cost < best_cost || (cost == best_cost && coverage > best_coverage)
-                        }
-                        _ => {
-                            coverage > best_coverage
-                                || (coverage == best_coverage && cost < best_cost)
-                        }
-                    },
+                let improves = match (best, &mode) {
+                    (None, _) => true,
+                    (Some((_, best_coverage, _)), PlanMode::Structural) => coverage > best_coverage,
+                    (Some((_, best_coverage, best_cost)), PlanMode::Costed(..)) => {
+                        cost < best_cost || (cost == best_cost && coverage > best_coverage)
+                    }
                 };
                 if improves {
                     best = Some((i, coverage, cost));
@@ -305,7 +267,7 @@ impl JoinPlan {
             }
             let estimate = match mode {
                 PlanMode::Structural => None,
-                _ => Some(cost),
+                PlanMode::Costed(..) => Some(cost),
             };
             steps.push(PlanStep {
                 atom,
@@ -666,32 +628,6 @@ fn step_estimate(atom: &PlanAtom, bound: &[bool], index: &RelationIndex, dict: &
         cardinality
     };
     base / distinct_product
-}
-
-/// An expected-matches cost estimate for tie-breaking in
-/// [`JoinPlan::build_with_stats`]: the exact posting length for the best
-/// constant-bound position, else relation cardinality divided by the
-/// largest distinct count among bound positions, else the cardinality.
-fn atom_cost(atom: &PlanAtom, bound: &[bool], index: &RelationIndex, dict: &Dictionary) -> f64 {
-    let cardinality = index.relation_cardinality(atom.relation) as f64;
-    let mut cost = cardinality;
-    for (position, term) in atom.terms.iter().enumerate() {
-        let estimate = match term {
-            PlanTerm::Const(value) => match dict.lookup(value) {
-                Some(sym) => index.posting_len(atom.relation, position, sym) as f64,
-                // Never-interned constant: provably zero matches.
-                None => 0.0,
-            },
-            PlanTerm::Var(slot) if bound[*slot] => {
-                // The bound symbol is only known at run time; assume the
-                // position's average posting length.
-                cardinality / index.distinct_count(atom.relation, position).max(1) as f64
-            }
-            PlanTerm::Var(_) => continue,
-        };
-        cost = cost.min(estimate);
-    }
-    cost
 }
 
 /// Unifies an atom's encoded terms with one stored row against the current

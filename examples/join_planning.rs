@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (shared, stats) = LineageBank::compile_instrumented(
         &db,
         &refs,
-        uocqa::query::lineage::DEFAULT_WITNESS_CAP,
+        uocqa::query::DEFAULT_WITNESS_CAP,
         &uocqa::query::CompileBudget::unlimited(),
     )?;
     let shared_ms = start.elapsed().as_secs_f64() * 1e3;

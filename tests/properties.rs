@@ -11,7 +11,7 @@ use uocqa::db::{
     ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, LiveOps, Value, ViolationSet,
 };
 use uocqa::numeric::Ratio;
-use uocqa::query::{Atom, CompiledLineage, ConjunctiveQuery, QueryEvaluator, Term};
+use uocqa::query::{Atom, ConjunctiveQuery, LineageBank, QueryEvaluator, Term};
 use uocqa::repair::{GeneratorSpec, OperationalSemantics, RepairingTree, TreeLimits};
 
 mod common;
@@ -143,9 +143,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
         for (query, candidate) in queries {
             let evaluator = QueryEvaluator::new(query);
-            let lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-                .unwrap()
-                .expect("workload lineages stay under the witness cap");
+            let lineage = LineageBank::compile(&db, &[(&evaluator, &candidate)]).unwrap();
+            prop_assert!(
+                !lineage.is_fallback(0),
+                "workload lineages stay under the witness cap"
+            );
+            let mut scratch = uocqa::query::BankScratch::new();
+            let mut hits = [false];
             for _ in 0..32 {
                 let subset = FactSet::from_iter(
                     db.len(),
@@ -153,8 +157,9 @@ proptest! {
                         .filter(|_| rng.random_bool(0.5))
                         .map(uocqa::db::FactId::new),
                 );
+                lineage.evaluate_into(&subset, &mut scratch, &mut hits);
                 prop_assert_eq!(
-                    lineage.entails(&subset),
+                    hits[0],
                     evaluator.has_answer(&db, &subset, &candidate).unwrap(),
                     "subset {:?}", subset
                 );
@@ -403,7 +408,6 @@ proptest! {
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 2..10),
         seed in 0u64..1_000,
     ) {
-        use uocqa::query::LineageBank;
         use uocqa::workload::queries::overlapping_join_bank;
 
         let (db, _) = multi_fd_database(&rows);
@@ -461,7 +465,9 @@ proptest! {
             for subset in &subsets {
                 prop_assert_eq!(
                     evaluator.has_answer(&db, subset, candidate).unwrap(),
-                    evaluator.has_answer_unplanned(&db, subset, candidate).unwrap()
+                    evaluator
+                        .for_each_answer_image_unplanned(&db, subset, candidate, |_| true)
+                        .unwrap()
                 );
                 let mut planned = evaluator.homomorphisms(&db, subset, None);
                 let mut unplanned = evaluator.homomorphisms_unplanned(&db, subset, None);
@@ -469,15 +475,13 @@ proptest! {
                 unplanned.sort_by(|a, b| a.bindings.cmp(&b.bindings).then(a.image.cmp(&b.image)));
                 prop_assert_eq!(planned, unplanned);
             }
-            let planned = CompiledLineage::compile(evaluator, &db, candidate).unwrap();
-            let unplanned = CompiledLineage::compile_unplanned(evaluator, &db, candidate).unwrap();
-            let witness_set = |lineage: &CompiledLineage| -> std::collections::BTreeSet<Vec<FactId>> {
-                lineage.witnesses().iter().map(FactSet::to_vec).collect()
-            };
-            match (&planned, &unplanned) {
-                (Some(p), Some(u)) => prop_assert_eq!(witness_set(p), witness_set(u)),
-                _ => prop_assert!(planned.is_none() == unplanned.is_none()),
-            }
+            let one = [(evaluator, candidate.as_slice())];
+            let planned = LineageBank::compile(&db, &one).unwrap();
+            let unplanned = LineageBank::compile_unplanned(&db, &one).unwrap();
+            prop_assert_eq!(
+                canonical_witnesses(&planned, 0, None),
+                canonical_witnesses(&unplanned, 0, None)
+            );
         }
 
         // Whole-bank: the shared scan trie produces the same entries as
@@ -485,7 +489,7 @@ proptest! {
         // tiny cap that forces fallbacks.
         let refs: Vec<(&QueryEvaluator, &[Value])> =
             evaluators.iter().map(|(e, c)| (e, c.as_slice())).collect();
-        for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
+        for cap in [uocqa::query::DEFAULT_WITNESS_CAP, 1] {
             let shared = LineageBank::compile_with_cap(&db, &refs, cap).unwrap();
             let baseline = LineageBank::compile_unplanned_with_cap(&db, &refs, cap).unwrap();
             let mut scratch = uocqa::query::BankScratch::new();
@@ -587,7 +591,6 @@ proptest! {
         seed in 0u64..200,
     ) {
         use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-        use uocqa::query::LineageBank;
         use uocqa::workload::queries::overlapping_join_bank;
 
         let (db, sigma) = block_database(&profile);
@@ -609,17 +612,15 @@ proptest! {
             .map(|q| QueryEvaluator::with_stats(q, &db).unwrap())
             .collect();
 
-        // Per-query compiled lineages hold the same minimal antichain.
-        let witness_set = |lineage: &CompiledLineage| -> std::collections::BTreeSet<Vec<FactId>> {
-            lineage.witnesses().iter().map(FactSet::to_vec).collect()
-        };
+        // Per-query compiled lineages (banks of one) hold the same
+        // minimal antichain.
         for (s, c) in structural.iter().zip(&costed) {
-            let s_lineage = CompiledLineage::compile(s, &db, &[]).unwrap();
-            let c_lineage = CompiledLineage::compile(c, &db, &[]).unwrap();
-            match (&s_lineage, &c_lineage) {
-                (Some(s), Some(c)) => prop_assert_eq!(witness_set(s), witness_set(c)),
-                _ => prop_assert!(s_lineage.is_none() == c_lineage.is_none()),
-            }
+            let s_lineage = LineageBank::compile(&db, &[(s, &[])]).unwrap();
+            let c_lineage = LineageBank::compile(&db, &[(c, &[])]).unwrap();
+            prop_assert_eq!(
+                canonical_witnesses(&s_lineage, 0, None),
+                canonical_witnesses(&c_lineage, 0, None)
+            );
         }
 
         // Whole banks agree entry by entry — witness sets and fallback
@@ -629,7 +630,7 @@ proptest! {
             structural.iter().map(|e| (e, &[] as &[Value])).collect();
         let c_refs: Vec<(&QueryEvaluator, &[Value])> =
             costed.iter().map(|e| (e, &[] as &[Value])).collect();
-        for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
+        for cap in [uocqa::query::DEFAULT_WITNESS_CAP, 1] {
             let s_bank = LineageBank::compile_with_cap(&db, &s_refs, cap).unwrap();
             let c_bank = LineageBank::compile_with_cap(&db, &c_refs, cap).unwrap();
             for entry in 0..s_refs.len() {
@@ -1041,7 +1042,7 @@ proptest! {
                     "{}", text
                 );
                 prop_assert_eq!(
-                    evaluator.entails_unplanned(&db, &subset),
+                    !evaluator.homomorphisms_unplanned(&db, &subset, Some(1)).is_empty(),
                     !ref_images.is_empty(),
                     "{}", text
                 );
@@ -1246,7 +1247,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-        use uocqa::query::{BankQueryRef, LineageBank};
+        use uocqa::query::BankQueryRef;
 
         let (mut db, sigma) = block_database(&profile);
         let texts = [
