@@ -304,9 +304,10 @@ impl<'a> OcqaEstimator<'a> {
     ///
     /// A single query is a bank of one: the candidate's lineage is
     /// compiled into a one-entry [`LineageBank`] — a monotone DNF of
-    /// witness bitsets, so the per-draw entailment check is a word-level
-    /// "some witness ⊆ repair" test with no heap allocation and no
-    /// backtracking search (falling back to the slot-compiled evaluator
+    /// witnesses stored as short fact-id lists, so the per-draw entailment
+    /// check is a "some witness ⊆ repair" test of a few bit probes per
+    /// witness, with no heap allocation and no backtracking search
+    /// (falling back to the slot-compiled evaluator
     /// when the witness count exceeds [`DEFAULT_WITNESS_CAP`]) — and the
     /// run goes through the same driver as
     /// [`BatchEstimator::estimate_with_bank`].  Compilation validates the

@@ -12,9 +12,12 @@
 //! [`ConflictIndex`]: `V(D, Σ)` is computed **once** when the sampler is
 //! built, each walk resets a [`LiveOps`] cursor and maintains the justified
 //! operation sets under removals in O(degree) per removed fact, and the
-//! uniform pick over `Ops_s(D, Σ)` is O(1) per step.  The tests
-//! cross-check the maintained operation sets against a from-scratch
-//! [`ViolationSet`](ucqa_db::ViolationSet) recompute after every step.
+//! uniform pick over `Ops_s(D, Σ)` is O(1) per step.  A singleton-only
+//! walk (`M^{uo,1}`) never picks a pair, so it resets the cursor with
+//! [`LiveOps::reset_singletons`] and pays nothing for pair operations.
+//! The tests cross-check the maintained operation sets against a
+//! from-scratch [`ViolationSet`](ucqa_db::ViolationSet) recompute after
+//! every step.
 
 use rand::Rng;
 
@@ -59,8 +62,12 @@ pub struct WalkOutcome {
 /// Unlike the primary-key samplers, this one accepts any set of FDs.
 ///
 /// Construction computes `V(D, Σ)` once and builds the incremental
-/// [`ConflictIndex`]; every walk then costs O(|V| + |D|/64) in total
-/// instead of O(|D|) *per step*.  The sampler itself is immutable after
+/// [`ConflictIndex`]; every walk then costs O(conflicting facts + |V| +
+/// |D|/64) in total — a reset of the live operations, a removal per step
+/// that touches only the removed fact's violations, and the copy of the
+/// result — instead of O(|D|) *per step*.  A full (`M^uo`) walk adds
+/// O(pair operations) for the pair set; a singleton-only (`M^{uo,1}`)
+/// walk never builds it.  The sampler itself is immutable after
 /// construction (`Sync`), so the parallel estimator shares one instance
 /// across its worker threads; the per-walk mutable state lives in
 /// [`WalkScratch`].
@@ -133,8 +140,9 @@ impl<'a> OperationWalkSampler<'a> {
     /// the operation set `|Ops_s(D, Σ)|` the pick was uniform over, or
     /// `None` when the live sub-database is already consistent.
     ///
-    /// Every walk variant goes through this helper, so the operation
-    /// universe and the pick are defined in exactly one place.
+    /// Every walk variant goes through this helper (after
+    /// [`OperationWalkSampler::reset`]), so the operation universe and the
+    /// pick are defined in exactly one place.
     fn step<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -164,11 +172,23 @@ impl<'a> OperationWalkSampler<'a> {
         Some((first, second, count))
     }
 
+    /// Resets `ops` to the root of the walk: the full database with every
+    /// operation the walk can pick.  A singleton-only walk never reads
+    /// the pair set, so it is not built; the pick consumes the same
+    /// randomness either way.
+    fn reset(&self, ops: &mut LiveOps) {
+        if self.singleton_only {
+            ops.reset_singletons(&self.index);
+        } else {
+            ops.reset_full(&self.index);
+        }
+    }
+
     /// Runs one walk: a sequence drawn according to the leaf distribution
     /// of the uniform-operations Markov chain.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
         let mut ops = LiveOps::new();
-        ops.reset_full(&self.index);
+        self.reset(&mut ops);
         let mut operations = Vec::new();
         let mut probability = LogFloat::one();
         while let Some((first, second, count)) = self.step(rng, &mut ops) {
@@ -214,7 +234,7 @@ impl<'a> OperationWalkSampler<'a> {
     ) {
         assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
         let ops = &mut scratch.ops;
-        ops.reset_full(&self.index);
+        self.reset(ops);
         while self.step(rng, ops).is_some() {}
         out.copy_from(ops.live());
     }
@@ -412,6 +432,69 @@ mod tests {
             }
             assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
         }
+        // The singleton reset of the `M^{uo,1}` walk: the live singletons
+        // track `V(D', Σ)` at every step while the pair set stays empty.
+        for _ in 0..50 {
+            let mut ops = ucqa_db::LiveOps::new();
+            ops.reset_singletons(index);
+            assert_eq!(ops.live_singles(), index.conflicting_facts());
+            assert_eq!(ops.pair_count(), 0);
+            let mut subset = db.all_facts();
+            while !ops.is_consistent() {
+                let f = ops.single(rng.random_range(0..ops.single_count()));
+                ops.remove_fact(index, f);
+                subset.remove(f);
+                let violations = ViolationSet::compute(&db, &sigma, &subset);
+                let mut singles: Vec<_> = ops.live_singles().to_vec();
+                singles.sort();
+                assert_eq!(singles, violations.conflicting_facts());
+                assert_eq!(ops.pair_count(), 0);
+                assert_eq!(ops.live_pairs(index).count(), 0);
+                assert_eq!(ops.live(), &subset);
+            }
+            assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
+        }
+    }
+
+    #[test]
+    fn singleton_reset_walks_visit_the_facts_of_a_full_reset_walk_in_order() {
+        // A singleton pick reads only the singleton array, so a cursor
+        // that never tracks pairs must keep that array in exactly the
+        // order of one that does: same pick, same fact, same stream.
+        let (db, sigma) = ucqa_workload_like_database();
+        let sampler = OperationWalkSampler::new(&db, &sigma);
+        let index = sampler.conflict_index();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut full, mut lean) = (ucqa_db::LiveOps::new(), ucqa_db::LiveOps::new());
+        for _ in 0..50 {
+            full.reset_full(index);
+            lean.reset_singletons(index);
+            while !full.is_consistent() {
+                assert_eq!(full.live_singles(), lean.live_singles());
+                let choice = rng.random_range(0..full.single_count());
+                let fact = full.single(choice);
+                assert_eq!(fact, lean.single(choice));
+                full.remove_fact(index, fact);
+                lean.remove_fact(index, fact);
+            }
+            assert!(lean.is_consistent());
+            assert_eq!(full.live(), lean.live());
+        }
+        // And the sampler's singleton walk is the hand-driven one above.
+        let singleton = OperationWalkSampler::new(&db, &sigma).singleton_only();
+        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let mut repair = FactSet::empty(db.len());
+        let mut scratch = WalkScratch::new();
+        for _ in 0..50 {
+            singleton.sample_result_into(&mut a, &mut repair, &mut scratch);
+            full.reset_full(index);
+            while !full.is_consistent() {
+                let fact = full.single(b.random_range(0..full.single_count()));
+                full.remove_fact(index, fact);
+            }
+            assert_eq!(&repair, full.live());
+        }
+        assert_eq!(a.random_range(0..u64::MAX), b.random_range(0..u64::MAX));
     }
 
     /// A small multi-FD database with overlapping, non-key FDs.

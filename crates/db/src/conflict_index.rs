@@ -10,16 +10,18 @@
 //! sets incrementally:
 //!
 //! * [`ConflictIndex`] — the immutable part, built once per `(D, Σ)`:
-//!   the violations, CSR adjacency from each fact to the violations and
-//!   deduplicated conflicting pairs touching it, and the singleton /
-//!   pair operation universe.  Shareable across threads.
+//!   the violations, CSR adjacency from each fact to the other endpoints
+//!   of its violations (one neighbour per violation, so a pair violating
+//!   two FDs appears twice) and to the deduplicated conflicting pairs
+//!   touching it, and the singleton / pair operation universe.
+//!   Shareable across threads.
 //! * [`LiveOps`] — the mutable cursor owned by each walk: the live
 //!   sub-database, per-fact live-violation degrees, and the live
 //!   singleton/pair operation sets as dense swap-remove arrays, so a
 //!   uniform pick over `Ops_s(D, Σ)` is O(1) and
-//!   [`LiveOps::remove_fact`] is O(degree of the removed fact).
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+//!   [`LiveOps::remove_fact`] is O(degree of the removed fact).  A walk
+//!   of `M^{uo,1}` never picks a pair, so [`LiveOps::reset_singletons`]
+//!   leaves the pair set empty and removals skip it.
 
 use crate::{Database, FactChange, FactId, FactSet, FdSet, Violation, ViolationSet};
 
@@ -84,11 +86,13 @@ pub struct ConflictIndex {
     version: u64,
     /// `V(D, Σ)`, canonically sorted.
     violations: Vec<Violation>,
-    /// CSR offsets into [`ConflictIndex::violation_adjacency`] (length
+    /// CSR offsets into [`ConflictIndex::neighbours`] (length
     /// `universe + 1`).
-    violation_offsets: Vec<u32>,
-    /// Violation ids touching each fact.
-    violation_adjacency: Vec<u32>,
+    neighbour_offsets: Vec<u32>,
+    /// Per fact, the other endpoint of each violation touching it, in
+    /// violation order — one entry per violation, so the run length is
+    /// the fact's violation degree.
+    neighbours: Vec<FactId>,
     /// The deduplicated conflicting pairs (the pair-operation universe),
     /// canonically sorted.
     pairs: Vec<(FactId, FactId)>,
@@ -143,20 +147,21 @@ impl ConflictIndex {
         debug_assert!(violations.is_sorted(), "violations must be canonical");
         debug_assert!(pairs.is_sorted(), "pairs must be canonical");
 
-        // CSR adjacency fact → violation ids (two passes: count, fill).
-        let mut violation_offsets = vec![0u32; universe + 1];
+        // CSR adjacency fact → violation neighbours (two passes: count,
+        // fill), in violation order.
+        let mut neighbour_offsets = vec![0u32; universe + 1];
         for v in &violations {
-            violation_offsets[v.first.index() + 1] += 1;
-            violation_offsets[v.second.index() + 1] += 1;
+            neighbour_offsets[v.first.index() + 1] += 1;
+            neighbour_offsets[v.second.index() + 1] += 1;
         }
         for i in 0..universe {
-            violation_offsets[i + 1] += violation_offsets[i];
+            neighbour_offsets[i + 1] += neighbour_offsets[i];
         }
-        let mut violation_adjacency = vec![0u32; violations.len() * 2];
-        let mut cursor = violation_offsets.clone();
-        for (id, v) in violations.iter().enumerate() {
-            for fact in [v.first, v.second] {
-                violation_adjacency[cursor[fact.index()] as usize] = id as u32;
+        let mut neighbours = vec![FactId::new(0); violations.len() * 2];
+        let mut cursor = neighbour_offsets.clone();
+        for v in &violations {
+            for (fact, other) in [(v.first, v.second), (v.second, v.first)] {
+                neighbours[cursor[fact.index()] as usize] = other;
                 cursor[fact.index()] += 1;
             }
         }
@@ -180,7 +185,7 @@ impl ConflictIndex {
         }
 
         let conflicting: Vec<FactId> = (0..universe)
-            .filter(|&f| violation_offsets[f + 1] > violation_offsets[f])
+            .filter(|&f| neighbour_offsets[f + 1] > neighbour_offsets[f])
             .map(FactId::new)
             .collect();
 
@@ -188,8 +193,8 @@ impl ConflictIndex {
             universe,
             version,
             violations,
-            violation_offsets,
-            violation_adjacency,
+            neighbour_offsets,
+            neighbours,
             pairs,
             pair_offsets,
             pair_adjacency,
@@ -332,14 +337,15 @@ impl ConflictIndex {
 
     /// The number of violations touching `fact` in the full database.
     pub fn degree(&self, fact: FactId) -> usize {
-        (self.violation_offsets[fact.index() + 1] - self.violation_offsets[fact.index()]) as usize
+        (self.neighbour_offsets[fact.index() + 1] - self.neighbour_offsets[fact.index()]) as usize
     }
 
-    /// The violation ids touching `fact`.
-    fn violations_of(&self, fact: FactId) -> &[u32] {
-        let start = self.violation_offsets[fact.index()] as usize;
-        let end = self.violation_offsets[fact.index() + 1] as usize;
-        &self.violation_adjacency[start..end]
+    /// The other endpoint of each violation touching `fact`, in violation
+    /// order (a fact violating two FDs with `fact` appears twice).
+    fn neighbours_of(&self, fact: FactId) -> &[FactId] {
+        let start = self.neighbour_offsets[fact.index()] as usize;
+        let end = self.neighbour_offsets[fact.index() + 1] as usize;
+        &self.neighbours[start..end]
     }
 
     /// The pair ids touching `fact`.
@@ -491,11 +497,12 @@ impl Fnv {
 /// the pair set holds the pair ids whose two facts are both live.  Both are
 /// dense arrays with positional back-pointers, so membership updates are
 /// O(1) swap-removes and a uniform draw is a single `random_range` plus an
-/// array read.
+/// array read.  After [`LiveOps::reset_singletons`] the pair set is not
+/// tracked at all (it stays empty): the walk of `M^{uo,1}` never reads it.
 ///
-/// A default-constructed `LiveOps` owns no buffers; the first
-/// [`LiveOps::reset_full`]/[`LiveOps::reset_to`] sizes them, and later
-/// resets reuse the allocations (the walk hot loop is allocation-free).
+/// A default-constructed `LiveOps` owns no buffers; the first reset sizes
+/// them, and later resets reuse the allocations (the walk hot loop is
+/// allocation-free).
 #[derive(Debug, Clone, Default)]
 pub struct LiveOps {
     /// The live sub-database `D'`.
@@ -510,6 +517,9 @@ pub struct LiveOps {
     pairs: Vec<u32>,
     /// Per pair id: its position in `pairs`, or [`NOT_LIVE`].
     pair_pos: Vec<u32>,
+    /// Whether the pair set is maintained (`false` after
+    /// [`LiveOps::reset_singletons`]).
+    track_pairs: bool,
 }
 
 impl LiveOps {
@@ -536,14 +546,15 @@ impl LiveOps {
         self.pairs.clear();
     }
 
-    /// Resizes the buffers to match `index` (idempotent).
-    fn ensure_capacity(&mut self, index: &ConflictIndex) {
+    /// Resizes the per-fact buffers to match `index` (idempotent), and
+    /// the per-pair ones too when `pairs` is set.
+    fn ensure_capacity(&mut self, index: &ConflictIndex, pairs: bool) {
         if self.live.universe() != index.universe {
             self.live = FactSet::empty(index.universe);
             self.degree = vec![0; index.universe];
             self.single_pos = vec![NOT_LIVE; index.universe];
         }
-        if self.pair_pos.len() != index.pairs.len() {
+        if pairs && self.pair_pos.len() != index.pairs.len() {
             self.pair_pos = vec![NOT_LIVE; index.pairs.len()];
         }
     }
@@ -551,17 +562,36 @@ impl LiveOps {
     /// Resets to the full database: every fact live, every operation of the
     /// universe available.  O(conflicting facts + pairs + |D|/64).
     pub fn reset_full(&mut self, index: &ConflictIndex) {
+        self.reset_live_singles(index, true);
+        for pair in 0..index.pairs.len() as u32 {
+            self.pair_pos[pair as usize] = pair;
+            self.pairs.push(pair);
+        }
+    }
+
+    /// Resets to the full database for a singleton-only walk
+    /// (`M^{uo,1}`): every fact live and every singleton operation
+    /// available, while the pair set is neither filled nor maintained —
+    /// [`LiveOps::pair_count`] stays 0 until the next
+    /// [`LiveOps::reset_full`]/[`LiveOps::reset_to`].  The singleton set
+    /// evolves exactly as after [`LiveOps::reset_full`], in the same
+    /// order.  O(conflicting facts + |D|/64).
+    pub fn reset_singletons(&mut self, index: &ConflictIndex) {
+        self.reset_live_singles(index, false);
+    }
+
+    /// The shared head of the full resets: every fact live, every
+    /// conflicting fact a live singleton with its full degree, and the
+    /// pair set empty (to be filled by the caller iff `pairs`).
+    fn reset_live_singles(&mut self, index: &ConflictIndex, pairs: bool) {
         self.clear_stale();
-        self.ensure_capacity(index);
+        self.ensure_capacity(index, pairs);
+        self.track_pairs = pairs;
         self.live.fill();
         for (position, &fact) in index.conflicting.iter().enumerate() {
             self.degree[fact.index()] = index.degree(fact) as u32;
             self.single_pos[fact.index()] = position as u32;
             self.singles.push(fact);
-        }
-        for pair in 0..index.pairs.len() as u32 {
-            self.pair_pos[pair as usize] = pair;
-            self.pairs.push(pair);
         }
     }
 
@@ -578,7 +608,8 @@ impl LiveOps {
             "subset universe mismatch"
         );
         self.clear_stale();
-        self.ensure_capacity(index);
+        self.ensure_capacity(index, true);
+        self.track_pairs = true;
         self.live.copy_from(subset);
         for v in &index.violations {
             if self.live.contains(v.first) && self.live.contains(v.second) {
@@ -611,21 +642,23 @@ impl LiveOps {
         assert!(was_live, "removed a fact that is not live");
         self.retire_single(fact);
         self.degree[fact.index()] = 0;
-        for &violation in index.violations_of(fact) {
-            let v = &index.violations[violation as usize];
-            let other = if v.first == fact { v.second } else { v.first };
+        for &other in index.neighbours_of(fact) {
             // The violation was live iff the other endpoint still is (the
-            // removed fact was live until this call).
-            if self.live.contains(other) {
-                let degree = &mut self.degree[other.index()];
+            // removed fact was live until this call), and a fact has a
+            // positive degree iff it is live with a live violation — so
+            // the degree alone answers, without a probe of `live`.
+            let degree = &mut self.degree[other.index()];
+            if *degree > 0 {
                 *degree -= 1;
                 if *degree == 0 {
                     self.retire_single(other);
                 }
             }
         }
-        for &pair in index.pairs_of(fact) {
-            self.retire_pair(pair);
+        if self.track_pairs {
+            for &pair in index.pairs_of(fact) {
+                self.retire_pair(pair);
+            }
         }
     }
 
@@ -995,6 +1028,68 @@ mod tests {
             index.violations()[0].pair(),
             (FactId::new(0), FactId::new(2))
         );
+    }
+
+    /// Asserts that each fact's neighbour run lists the other endpoint of
+    /// every violation touching it, in violation order, multiplicity
+    /// included — and that its length is the fact's degree.
+    fn assert_neighbour_runs_match_violations(index: &ConflictIndex) {
+        for f in 0..index.universe() {
+            let fact = FactId::new(f);
+            let expected: Vec<FactId> = index
+                .violations()
+                .iter()
+                .filter(|v| v.involves(fact))
+                .map(|v| if v.first == fact { v.second } else { v.first })
+                .collect();
+            assert_eq!(index.neighbours_of(fact), expected.as_slice(), "fact {f}");
+            assert_eq!(index.degree(fact), expected.len(), "fact {f}");
+        }
+    }
+
+    #[test]
+    fn neighbour_runs_list_violation_endpoints_after_build_and_refresh() {
+        let (mut db, mut sigma) = running_example();
+        // A third FD violated by the same pair as A → B: the neighbour
+        // then appears once per violation.
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B", "C"]).unwrap());
+        let mut index = ConflictIndex::build(&db, &sigma);
+        assert_eq!(index.neighbours_of(FactId::new(0)), &[FactId::new(1); 2]);
+        assert_neighbour_runs_match_violations(&index);
+
+        db.insert_values("R", [Value::str("a1"), Value::str("b3"), Value::str("c2")])
+            .unwrap();
+        db.delete(FactId::new(0)).unwrap();
+        db.insert_values("R", [Value::str("a2"), Value::str("b2"), Value::str("c9")])
+            .unwrap();
+        index.refresh(&db, &sigma);
+        assert_eq!(index, ConflictIndex::build(&db, &sigma));
+        assert_neighbour_runs_match_violations(&index);
+        assert!(index.neighbours_of(FactId::new(0)).is_empty());
+    }
+
+    #[test]
+    fn singleton_reset_leaves_the_pair_set_untracked() {
+        let (db, sigma) = running_example();
+        let index = ConflictIndex::build(&db, &sigma);
+        let mut ops = LiveOps::new();
+        ops.reset_singletons(&index);
+        assert_eq!(ops.live_singles(), index.conflicting_facts());
+        assert_eq!(ops.pair_count(), 0);
+        ops.remove_fact(&index, FactId::new(0));
+        assert_eq!(ops.pair_count(), 0);
+        let (singles, _) = sorted_state(&index, &ops);
+        assert_eq!(singles, vec![FactId::new(1), FactId::new(2)]);
+        // A full reset on the same cursor tracks pairs again, and a
+        // singleton reset after an abandoned full walk drops them.
+        ops.reset_full(&index);
+        assert_eq!(ops.pair_count(), 2);
+        ops.remove_fact(&index, FactId::new(2));
+        ops.reset_singletons(&index);
+        assert_eq!(ops.pair_count(), 0);
+        assert_eq!(ops.single_count(), 3);
+        ops.remove_fact(&index, FactId::new(1));
+        assert!(ops.is_consistent());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Databases: dictionary-encoded columnar fact storage with dense ids.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,8 +12,6 @@
 //! (like [`crate::ConflictIndex`]), cloned copy-on-write only if a
 //! snapshot is still held while new constants arrive.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::HashMap;
 use std::fmt;
 

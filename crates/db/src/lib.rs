@@ -25,11 +25,12 @@
 //!
 //! Everything downstream identifies facts by dense [`FactId`]s into one
 //! immutable [`Database`], so a *repair* is just a subset of the fact
-//! universe — represented as a [`FactSet`] bitset whose word-level kernels
-//! (`contains_all`, `intersect_with`, …) are what the compiled-lineage
-//! entailment check and the samplers of `ucqa-core` run on.  Values are
-//! interned ([`Value`]), so fact comparison never touches strings on hot
-//! paths.
+//! universe — represented as a [`FactSet`] bitset.  The samplers of
+//! `ucqa-core` write repairs into it, and the compiled-lineage entailment
+//! check of `ucqa-query` probes it one witness fact id at a time
+//! ([`FactSet::contains`]), so a check costs the witness's size, not
+//! `|D|/64` words.  Values are interned ([`Value`]), so fact comparison
+//! never touches strings on hot paths.
 //!
 //! Violations are *monotone under fact removal*: `V(D', Σ)` is exactly the
 //! subset of `V(D, Σ)` whose two facts both survive in `D'`.  That
@@ -58,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod blocks;
 pub mod conflict_graph;

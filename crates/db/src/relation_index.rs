@@ -25,8 +25,6 @@
 //! deterministic — the counting-sort fill visits facts in id order, which
 //! also makes the runs valid inputs for [`intersect_postings`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::{Database, FactId, RelationId, Sym, Value};
 
 /// The posting lists of one `(relation, position)` pair in CSR form.

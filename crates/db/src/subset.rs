@@ -59,6 +59,7 @@ impl FactSet {
     }
 
     /// Returns `true` iff `fact` is a member.
+    #[inline]
     pub fn contains(&self, fact: FactId) -> bool {
         let idx = fact.index();
         debug_assert!(idx < self.universe, "fact id out of range");
@@ -109,9 +110,11 @@ impl FactSet {
     /// Returns `true` iff `other ⊆ self`, i.e. `self` contains every member
     /// of `other`.
     ///
-    /// This is the per-sample kernel of the compiled-lineage entailment
-    /// check ("some witness ⊆ repair"): a handful of word-level AND/compare
-    /// operations, no iteration over members.
+    /// A word-level scan over the whole universe (`|D|/64` AND/compare
+    /// steps, however few members `other` has).  The per-draw lineage
+    /// check does not use it: a `LineageBank` stores each witness as a
+    /// short list of fact ids and probes them with
+    /// [`FactSet::contains`].
     pub fn contains_all(&self, other: &FactSet) -> bool {
         other.is_subset_of(self)
     }

@@ -12,12 +12,15 @@
 //! `(query, candidate)` pairs over the same database — a single query is
 //! a bank of one.  It enumerates the homomorphism images up front and
 //! compiles them, per entry, into a minimal antichain of witnesses, stored
-//! in one deduplicated arena of witness bitsets (identical queries and
-//! overlapping joins share witnesses).  Each entry keeps a bitmask over
-//! the arena selecting its own antichain, so the per-sample check is:
+//! in one deduplicated arena (identical queries and overlapping joins
+//! share witnesses).  The arena is a CSR of sorted fact ids — one short
+//! run per distinct witness — so it costs what the witnesses hold, not
+//! what the fact universe holds.  Each entry keeps a bitmask over the
+//! arena selecting its own antichain, so the per-sample check is:
 //!
-//! 1. one containment scan over the *distinct* witnesses (word-level
-//!    "witness ⊆ repair", each checked exactly once per draw), then
+//! 1. one containment scan over the *distinct* witnesses (each witness's
+//!    ids probed against the repair bitset, each witness checked exactly
+//!    once per draw — a few bit probes, independent of `|D|`), then
 //! 2. one word-level `mask ∧ contained ≠ 0` pass per query.
 //!
 //! Witness enumeration is capped per entry (query lineage can be
@@ -25,7 +28,7 @@
 //! enumeration overflows the cap are kept as
 //! [fallback](LineageBank::is_fallback) entries — the caller routes those
 //! through the backtracking evaluator while the rest of the bank stays on
-//! the bitset path.
+//! the compiled path.
 //!
 //! **Compilation is shared too.**  [`LineageBank::compile`] does not run
 //! one witness enumeration per entry: it grounds every `(query,
@@ -49,7 +52,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ucqa_db::{
     ConflictStructure, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value,
@@ -61,10 +64,11 @@ use crate::{QueryError, QueryEvaluator};
 /// Default per-entry cap on the number of witnesses materialised by
 /// [`LineageBank::compile`].
 ///
-/// `4096` witnesses × a 1 000-fact universe is ~64 KiB of bitset words —
-/// comfortably cache-resident — while the linear witness scan stays far
-/// cheaper than a backtracking search that would re-derive those same
-/// homomorphisms on every sample.
+/// `4096` witnesses of a few facts each are a few tens of KiB of fact ids
+/// in the arena, whatever the size of the database — comfortably
+/// cache-resident — while the linear witness scan stays far cheaper than
+/// a backtracking search that would re-derive those same homomorphisms on
+/// every sample.
 pub const DEFAULT_WITNESS_CAP: usize = 4096;
 
 /// `a ⊆ b` over sorted, deduplicated fact-id lists (sorted-merge scan).
@@ -120,13 +124,14 @@ fn witness_ids(image: &[FactId]) -> Vec<FactId> {
 
 /// Assembles a bank entry by entry: each entry's raw witness images are
 /// reduced to their minimal antichain, and every *distinct* witness is
-/// interned once into the shared arena (materialised as a bitset only
-/// there) and selected by the entry's mask.  Shared by every path that
-/// builds a bank — shared compile, unplanned compile and refresh — so all
-/// of them lay out the arena the same way from the same raw images.
+/// interned once into the shared arena (appended as one run of the CSR)
+/// and selected by the entry's mask.  Shared by every path that builds a
+/// bank — shared compile, unplanned compile and refresh — so all of them
+/// lay out the arena the same way from the same raw images.
 struct ArenaBuilder {
     universe: usize,
-    witnesses: Vec<FactSet>,
+    offsets: Vec<u32>,
+    facts: Vec<FactId>,
     arena_index: HashMap<Vec<FactId>, usize>,
     entries: Vec<BankEntry>,
 }
@@ -135,7 +140,8 @@ impl ArenaBuilder {
     fn new(universe: usize, entries: usize) -> Self {
         ArenaBuilder {
             universe,
-            witnesses: Vec::new(),
+            offsets: vec![0],
+            facts: Vec::new(),
             arena_index: HashMap::new(),
             entries: Vec::with_capacity(entries),
         }
@@ -155,9 +161,12 @@ impl ArenaBuilder {
             let index = match self.arena_index.get(&witness) {
                 Some(&index) => index,
                 None => {
-                    let index = self.witnesses.len();
-                    self.witnesses
-                        .push(FactSet::from_iter(self.universe, witness.iter().copied()));
+                    let index = self.offsets.len() - 1;
+                    self.facts.extend_from_slice(&witness);
+                    self.offsets.push(
+                        u32::try_from(self.facts.len())
+                            .expect("the witness arena holds fewer than 2^32 fact ids"),
+                    );
                     self.arena_index.insert(witness, index);
                     index
                 }
@@ -175,9 +184,11 @@ impl ArenaBuilder {
     fn finish(self, version: u64) -> LineageBank {
         LineageBank {
             universe: self.universe,
-            witnesses: self.witnesses,
+            offsets: self.offsets,
+            facts: self.facts,
             entries: self.entries,
             version,
+            dense: OnceLock::new(),
         }
     }
 }
@@ -289,6 +300,28 @@ impl BankScratch {
     pub fn new() -> Self {
         BankScratch::default()
     }
+
+    /// Clears the containment bits for an arena of `witnesses` witnesses.
+    fn reset(&mut self, witnesses: usize) {
+        self.contained.clear();
+        self.contained.resize(witnesses.div_ceil(64), 0);
+    }
+
+    /// Records that arena witness `index` is contained in the repair.
+    fn mark(&mut self, index: usize) {
+        self.contained[index / 64] |= 1u64 << (index % 64);
+    }
+
+    /// Whether `entry` holds on the repair: some witness of its mask is
+    /// contained (always `false` for a fallback entry).
+    fn hits(&self, entry: &BankEntry) -> bool {
+        match entry {
+            BankEntry::Compiled { mask } => {
+                mask.iter().zip(&self.contained).any(|(m, c)| m & c != 0)
+            }
+            BankEntry::Fallback => false,
+        }
+    }
 }
 
 /// Many compiled lineages over one database, sharing a deduplicated
@@ -296,13 +329,20 @@ impl BankScratch {
 #[derive(Debug, Clone)]
 pub struct LineageBank {
     universe: usize,
-    /// The arena: every *distinct* witness across all compiled entries,
-    /// stored once.
-    witnesses: Vec<FactSet>,
+    /// The arena, as a CSR: witness `w` is the sorted, deduplicated id run
+    /// `facts[offsets[w]..offsets[w + 1]]`.  Every *distinct* witness
+    /// across all compiled entries is stored once.
+    offsets: Vec<u32>,
+    facts: Vec<FactId>,
     entries: Vec<BankEntry>,
     /// The database changelog version the bank was compiled (or last
     /// refreshed) against — what [`LineageBank::refresh`] replays from.
     version: u64,
+    /// Bitset copies of the arena witnesses, built on the first
+    /// [`LineageBank::witnesses_of`] call and kept so that a witness
+    /// shared by several entries is handed out at one address.  No
+    /// per-draw path reads them.
+    dense: OnceLock<Vec<FactSet>>,
 }
 
 impl LineageBank {
@@ -385,9 +425,9 @@ impl LineageBank {
             overflowed.fill(true);
         }
 
-        // Witnesses are kept as sorted fact-id lists until here —
-        // sparse-friendly to sort, hash and containment-check — and only
-        // the *distinct* arena survivors are materialised as bitsets.
+        // Witnesses stay sorted fact-id lists throughout — cheap to sort,
+        // hash and containment-check — and only the *distinct* arena
+        // survivors are appended to the arena's CSR.
         let mut arena = ArenaBuilder::new(universe, queries.len());
         for (raw, overflowed) in raw.into_iter().zip(overflowed) {
             arena.push((!overflowed).then_some(raw));
@@ -569,14 +609,13 @@ impl LineageBank {
                 arena.push(None);
                 continue;
             }
-            // Survivors first, as sorted id lists (`FactSet::iter` is
-            // ascending); `intersects` scans the common word prefix, so
-            // old smaller-universe witnesses compare fine.
+            // Survivors first, as the arena's sorted id runs; old ids
+            // all lie inside the (grown) universe of `deleted`.
             let mut raw: Vec<Vec<FactId>> = Vec::new();
             for index in self.entry_witnesses(entry) {
-                let witness = &self.witnesses[index];
-                if !witness.intersects(&deleted) {
-                    raw.push(witness.iter().collect());
+                let witness = self.witness(index);
+                if !witness.iter().any(|&fact| deleted.contains(fact)) {
+                    raw.push(witness.to_vec());
                 }
             }
             let over_cap = evaluator.for_each_delta_answer_image(
@@ -602,29 +641,38 @@ impl LineageBank {
     ///
     /// Performs no heap allocation once `scratch` reaches steady-state
     /// capacity.  Each distinct witness is containment-checked exactly
-    /// once, no matter how many queries share it.
+    /// once, no matter how many queries share it, by probing its fact ids
+    /// against `repair` — the cost is the arena's id count, not `|D|`.
     ///
     /// # Panics
     /// Panics if `hits.len()` differs from the number of queries.
     pub fn evaluate_into(&self, repair: &FactSet, scratch: &mut BankScratch, hits: &mut [bool]) {
         assert_eq!(hits.len(), self.entries.len(), "hits length mismatch");
         debug_assert_eq!(repair.universe(), self.universe);
-        let words = self.witnesses.len().div_ceil(64);
-        scratch.contained.clear();
-        scratch.contained.resize(words, 0);
-        for (index, witness) in self.witnesses.iter().enumerate() {
-            if repair.contains_all(witness) {
-                scratch.contained[index / 64] |= 1u64 << (index % 64);
+        scratch.reset(self.witness_count());
+        for index in 0..self.witness_count() {
+            if self.contained_in(index, repair) {
+                scratch.mark(index);
             }
         }
         for (entry, hit) in self.entries.iter().zip(hits.iter_mut()) {
-            *hit = match entry {
-                BankEntry::Compiled { mask } => {
-                    mask.iter().zip(&scratch.contained).any(|(m, c)| m & c != 0)
-                }
-                BankEntry::Fallback => false,
-            };
+            *hit = scratch.hits(entry);
         }
+    }
+
+    /// Witness `index` of the arena: its sorted, deduplicated fact ids.
+    fn witness(&self, index: usize) -> &[FactId] {
+        &self.facts[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+    }
+
+    /// `witness(index) ⊆ repair`, one bit probe per witness fact.  Every
+    /// id is probed (a fold, not a short-circuiting `all`): a witness has
+    /// a handful of ids and most witnesses miss, so a mispredicted early
+    /// exit costs more than the probes it skips.
+    fn contained_in(&self, index: usize, repair: &FactSet) -> bool {
+        self.witness(index)
+            .iter()
+            .fold(true, |all, &fact| all & repair.contains(fact))
     }
 
     /// Number of queries in the bank.
@@ -639,7 +687,7 @@ impl LineageBank {
 
     /// Number of *distinct* witnesses in the shared arena.
     pub fn witness_count(&self) -> usize {
-        self.witnesses.len()
+        self.offsets.len() - 1
     }
 
     /// Number of witnesses of query `index`'s own minimal antichain, or
@@ -728,9 +776,9 @@ impl LineageBank {
         match &self.entries[index] {
             BankEntry::Fallback => None,
             BankEntry::Compiled { .. } => {
-                let mut lists: Vec<Vec<FactId>> = self
+                let mut lists: Vec<&[FactId]> = self
                     .entry_witnesses(index)
-                    .map(|w| self.witnesses[w].iter().collect())
+                    .map(|w| self.witness(w))
                     .collect();
                 lists.sort_unstable();
                 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -747,7 +795,7 @@ impl LineageBank {
                     // Length-prefix each list so concatenations can't
                     // collide across witness boundaries.
                     mix(list.len() as u64);
-                    for &id in list {
+                    for &id in *list {
                         mix(id.index() as u64);
                         mix(structure.digest(id));
                     }
@@ -769,14 +817,22 @@ impl LineageBank {
     /// order, or `None` for a fallback entry.  Ground-truth comparisons
     /// (windowed state vs a from-scratch rebuild) canonicalize these into
     /// sorted id-lists before comparing.
+    ///
+    /// The bitsets are built from the arena once per bank, on the first
+    /// call, and kept: every call hands out the same witness at the same
+    /// address, so a witness shared by two entries can be recognised by
+    /// address.  The per-draw check never reads them.
     pub fn witnesses_of(&self, index: usize) -> Option<Vec<&FactSet>> {
         match &self.entries[index] {
             BankEntry::Fallback => None,
-            BankEntry::Compiled { .. } => Some(
-                self.entry_witnesses(index)
-                    .map(|w| &self.witnesses[w])
-                    .collect(),
-            ),
+            BankEntry::Compiled { .. } => {
+                let dense = self.dense.get_or_init(|| {
+                    (0..self.witness_count())
+                        .map(|w| FactSet::from_iter(self.universe, self.witness(w).iter().copied()))
+                        .collect()
+                });
+                Some(self.entry_witnesses(index).map(|w| &dense[w]).collect())
+            }
         }
     }
 
@@ -804,25 +860,18 @@ impl LineageBank {
         assert_eq!(hits.len(), self.entries.len(), "hits length mismatch");
         assert_eq!(
             live.witness_refs.len(),
-            self.witnesses.len(),
+            self.witness_count(),
             "live set was built for a different bank"
         );
         debug_assert_eq!(repair.universe(), self.universe);
-        let words = self.witnesses.len().div_ceil(64);
-        scratch.contained.clear();
-        scratch.contained.resize(words, 0);
+        scratch.reset(self.witness_count());
         for &index in &live.live_witnesses {
-            if repair.contains_all(&self.witnesses[index]) {
-                scratch.contained[index / 64] |= 1u64 << (index % 64);
+            if self.contained_in(index, repair) {
+                scratch.mark(index);
             }
         }
         for &query in &live.live_entries {
-            hits[query] = match &self.entries[query] {
-                BankEntry::Compiled { mask } => {
-                    mask.iter().zip(&scratch.contained).any(|(m, c)| m & c != 0)
-                }
-                BankEntry::Fallback => false,
-            };
+            hits[query] = scratch.hits(&self.entries[query]);
         }
     }
 }
@@ -2616,6 +2665,183 @@ mod tests {
                 baseline.is_fallback(entry),
                 "entry {entry}"
             );
+        }
+    }
+
+    /// Queries of the sparse-check property test over `R(K, V)` and
+    /// `S(V, W)`: selections, self-joins, cross-relation joins, and one
+    /// parameterised query (the `Some` candidate key).
+    const POOL: [(&str, Option<i64>); 9] = [
+        ("Ans() :- R(1, x)", None),
+        ("Ans() :- R(x, y), R(z, y)", None),
+        ("Ans() :- R(1, x), R(2, x)", None),
+        ("Ans() :- R(x, y), S(y, z)", None),
+        ("Ans() :- R(0, x), S(x, 1)", None),
+        ("Ans() :- S(x, x)", None),
+        ("Ans() :- R(x, y), S(y, x)", None),
+        ("Ans(k) :- R(k, x), S(x, 2)", Some(0)),
+        ("Ans(k) :- R(k, x), S(x, 2)", Some(3)),
+    ];
+
+    /// The dense reference of the per-draw check: some witness bitset of
+    /// the entry is contained in `repair` (`false` for a fallback entry).
+    fn dense_hits(bank: &LineageBank, repair: &FactSet) -> Vec<bool> {
+        (0..bank.len())
+            .map(|q| {
+                bank.witnesses_of(q)
+                    .is_some_and(|ws| ws.iter().any(|w| repair.contains_all(w)))
+            })
+            .collect()
+    }
+
+    /// The subset of `0..universe` selected by the bits of `mask`.
+    fn masked(universe: usize, mask: u64) -> FactSet {
+        FactSet::from_iter(
+            universe,
+            (0..universe)
+                .filter(|i| (mask >> (i % 64)) & 1 == 1)
+                .map(FactId::new),
+        )
+    }
+
+    /// Asserts that every `witnesses_of` call hands out one address per
+    /// distinct witness: the same on repeated calls and across entries
+    /// that share a witness.
+    fn assert_stable_addresses(bank: &LineageBank) {
+        let addresses = |bank: &LineageBank| -> Vec<Option<Vec<*const FactSet>>> {
+            (0..bank.len())
+                .map(|q| {
+                    bank.witnesses_of(q)
+                        .map(|ws| ws.into_iter().map(|w| w as *const FactSet).collect())
+                })
+                .collect()
+        };
+        let first = addresses(bank);
+        assert_eq!(first, addresses(bank), "witnesses moved between calls");
+        let mut by_content: HashMap<Vec<FactId>, *const FactSet> = HashMap::new();
+        for q in 0..bank.len() {
+            for w in bank.witnesses_of(q).unwrap_or_default() {
+                let at = *by_content.entry(w.iter().collect()).or_insert(w);
+                assert_eq!(
+                    at, w as *const FactSet,
+                    "a shared witness has two addresses"
+                );
+            }
+        }
+    }
+
+    /// Asserts that the sparse check agrees with the dense reference and,
+    /// on compiled entries, with the backtracking evaluator, on `repair`
+    /// — through `evaluate_into` and through `evaluate_live_into` after
+    /// each retirement of `order`.
+    fn assert_sparse_matches_dense(
+        db: &Database,
+        bank: &LineageBank,
+        queries: &[BankQueryRef<'_>],
+        repair: &FactSet,
+        order: &[usize],
+    ) {
+        let expected = dense_hits(bank, repair);
+        let mut scratch = BankScratch::new();
+        let mut hits = vec![false; bank.len()];
+        bank.evaluate_into(repair, &mut scratch, &mut hits);
+        assert_eq!(hits, expected, "evaluate_into on {repair:?}");
+        for (q, &(evaluator, candidate)) in queries.iter().enumerate() {
+            if !bank.is_fallback(q) {
+                assert_eq!(
+                    hits[q],
+                    evaluator.has_answer(db, repair, candidate).unwrap(),
+                    "entry {q} on {repair:?}"
+                );
+            }
+        }
+        let mut live = BankLiveSet::full(bank);
+        for &retired in order {
+            let mut live_hits = vec![false; bank.len()];
+            bank.evaluate_live_into(&live, repair, &mut scratch, &mut live_hits);
+            for &q in live.live_queries() {
+                assert_eq!(live_hits[q], expected[q], "live entry {q} on {repair:?}");
+            }
+            live.retire(bank, retired);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// On random banks over random databases, the sparse per-draw
+        /// check (fact-id runs probed against the repair) gives exactly
+        /// the hits of the dense reference `witnesses_of(q).any(|w|
+        /// repair.contains_all(w))` — before and after random
+        /// retirements, and again after a random delta and a `refresh`.
+        #[test]
+        fn sparse_check_matches_the_dense_reference(
+            rows in proptest::collection::vec((0u8..2, 0u8..4, 0u8..4), 1..14),
+            picks in proptest::collection::vec(0usize..POOL.len(), 1..7),
+            cap in 1usize..12,
+            masks in proptest::collection::vec(0u64..u64::MAX, 4..7),
+            order_seed in 0u64..1_000,
+            delta in proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 0..6),
+        ) {
+            let mut schema = Schema::new();
+            schema.add_relation("R", &["K", "V"]).unwrap();
+            schema.add_relation("S", &["V", "W"]).unwrap();
+            let mut db = Database::with_schema(schema);
+            for &(relation, a, b) in &rows {
+                let name = if relation == 0 { "R" } else { "S" };
+                db.insert_values(name, [Value::int(a.into()), Value::int(b.into())])
+                    .unwrap();
+            }
+            let evals: Vec<QueryEvaluator> = picks
+                .iter()
+                .map(|&p| QueryEvaluator::new(parse_query(db.schema(), POOL[p].0).unwrap()))
+                .collect();
+            let candidates: Vec<Vec<Value>> = picks
+                .iter()
+                .map(|&p| POOL[p].1.map(Value::int).into_iter().collect())
+                .collect();
+            let queries: Vec<BankQueryRef<'_>> = evals
+                .iter()
+                .zip(&candidates)
+                .map(|(e, c)| (e, c.as_slice()))
+                .collect();
+            // A retirement order: a seeded rotation of the entries.
+            let order: Vec<usize> = (0..queries.len())
+                .map(|i| (i + order_seed as usize) % queries.len())
+                .collect();
+
+            let mut bank = LineageBank::compile_with_cap(&db, &queries, cap).unwrap();
+            for &mask in &masks {
+                let repair = masked(db.len(), mask);
+                assert_sparse_matches_dense(&db, &bank, &queries, &repair, &order);
+            }
+            assert_stable_addresses(&bank);
+
+            for &(kind, a, b) in &delta {
+                let values = [Value::int(a.into()), Value::int(b.into())];
+                match kind {
+                    0 => {
+                        let id = FactId::new((usize::from(a) * 4 + usize::from(b)) % db.len());
+                        if db.is_live(id) {
+                            db.delete(id).unwrap();
+                        }
+                    }
+                    1 => {
+                        db.insert_values("R", values).unwrap();
+                    }
+                    _ => {
+                        db.insert_values("S", values).unwrap();
+                    }
+                }
+            }
+            bank.refresh_with_cap(&db, &queries, cap).unwrap();
+            let live_facts = db.all_facts();
+            for &mask in &masks {
+                let mut repair = masked(db.len(), mask);
+                repair.intersect_with(&live_facts);
+                assert_sparse_matches_dense(&db, &bank, &queries, &repair, &order);
+            }
+            assert_stable_addresses(&bank);
         }
     }
 }

@@ -12,7 +12,8 @@
 //! when built with [`QueryEvaluator::with_stats`], structurally
 //! coverage-ordered otherwise (queries are fixed — data complexity — so
 //! the plan is built once per evaluator).  [`bank`] compiles the
-//! enumeration result into witness bitsets for the Monte-Carlo hot loop —
+//! enumeration result into a witness arena of sorted fact-id runs for the
+//! Monte-Carlo hot loop —
 //! a single query is a bank of one — sharing both the enumeration (common
 //! atom prefixes *and* canonicalised suffix subtrees, one scan trie with
 //! fill-once/replay memoisation) and the witnesses (one deduplicated

@@ -2,8 +2,9 @@
 //!
 //! The slot-compiled backtracking evaluator of [`crate::eval`] joins the
 //! query atoms **in the order they were written**, scanning the whole
-//! relation at every step.  That is fine for entailment checks on sampled
-//! repairs (the compiled-lineage bitsets took that job over), but witness
+//! relation at every step.  That is fine for the entailment checks of
+//! fallback entries on sampled repairs (a compiled [`crate::LineageBank`]
+//! answers every other entry from its witness arena), but witness
 //! *enumeration* — the compile step behind every [`crate::LineageBank`]
 //! entry — would run one naive pass per `(query, candidate)`.  This
 //! module turns enumeration into a plan-based pipeline:

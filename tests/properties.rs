@@ -693,6 +693,9 @@ proptest! {
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
         ops.reset_full(&index);
+        // The `M^{uo,1}` cursor: same removals, pair set never tracked.
+        let mut lean = LiveOps::new();
+        lean.reset_singletons(&index);
         let mut subset = db.all_facts();
         let mut reference = ViolationSet::default();
         let mut recompute_scratch = Vec::new();
@@ -703,8 +706,13 @@ proptest! {
             let pick = rng.random_range(0..remaining.len());
             let fact = remaining.swap_remove(pick);
             ops.remove_fact(&index, fact);
+            lean.remove_fact(&index, fact);
             subset.remove(fact);
             reference.recompute(&db, &sigma, &subset, &mut recompute_scratch);
+            prop_assert_eq!(lean.live_singles(), ops.live_singles());
+            prop_assert_eq!(lean.pair_count(), 0);
+            prop_assert_eq!(lean.live(), &subset);
+            prop_assert_eq!(lean.is_consistent(), reference.is_empty());
             let mut singles = ops.live_singles().to_vec();
             singles.sort();
             prop_assert_eq!(singles, reference.conflicting_facts());
